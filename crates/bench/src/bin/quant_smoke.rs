@@ -10,12 +10,17 @@
 //! 3. **No regression** — the int8 forward under the installed kernel
 //!    plan must not be slower than forced sequential (≥ 1.0× with a
 //!    parallel plan; ≥ 0.9× noise floor on a single-thread host).
+//! 4. **Batch 1** — on the paper backbone, one window through the int8
+//!    embedding must cost at most 1.5× one window through the f32 one
+//!    under the same plan: a lone window is where a user waits, and the
+//!    int8 single-row kernel once ran ~10× slower than f32 there.
 
 use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision};
-use magneto_nn::{Mlp, QuantizedSiamese, SiameseNetwork};
+use magneto_nn::{Mlp, QuantizedSiamese, SiameseNetwork, PAPER_BACKBONE};
 use magneto_sensors::{GeneratorConfig, SensorDataset};
 use magneto_tensor::{install_global, Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Backbone for the kernel-level sweep — big enough that threading the
@@ -25,6 +30,14 @@ const BATCH: usize = 128;
 const REPS: usize = 50;
 /// Pool sizes for the bit-identity sweep; 0 means fully inline.
 const POOL_SWEEP: &[usize] = &[0, 1, 2, 8];
+/// Rows of the batched figure next to the batch-1 one.
+const B1_BATCHED_ROWS: usize = 64;
+/// Timed rounds of the batch-1 comparison (best round reported) and
+/// windows per round.
+const B1_ROUNDS: usize = 7;
+const B1_CALLS: usize = 200;
+/// Gate: int8 batch-1 per-window time over f32 batch-1 per-window time.
+const B1_MAX_INT8_OVER_F32: f64 = 1.5;
 
 #[derive(Serialize)]
 struct SweepEntry {
@@ -35,10 +48,25 @@ struct SweepEntry {
     bit_identical_to_inline: bool,
 }
 
+/// Per-window embedding cost at batch 1 and batched, f32 and int8, on
+/// the paper backbone under the report's `plan`.
+#[derive(Serialize)]
+struct BatchOneReport {
+    backbone: Vec<usize>,
+    batched_rows: usize,
+    f32_b1_us: f64,
+    int8_b1_us: f64,
+    f32_batched_per_window_us: f64,
+    int8_batched_per_window_us: f64,
+    int8_over_f32_b1: f64,
+    gate_max_int8_over_f32_b1: f64,
+}
+
 #[derive(Serialize)]
 struct QuantReport {
     bench: String,
     plan: String,
+    isa: String,
     backend: String,
     host_threads: usize,
     eval_windows: usize,
@@ -50,6 +78,7 @@ struct QuantReport {
     f32_bundle_bytes: usize,
     int8_bundle_bytes: usize,
     entries: Vec<SweepEntry>,
+    batch1: BatchOneReport,
     gate_speedup: f64,
     gate_threshold: f64,
     /// SIMD backend the host detected, if any (`None` = scalar-only;
@@ -95,6 +124,95 @@ fn quant_infer_run(net: &QuantizedSiamese, features: &Matrix, exec: Exec) -> (Ma
         times.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     (out, times)
+}
+
+/// Mean µs per call of `f` over `calls` calls.
+fn time_us(calls: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / calls as f64
+}
+
+/// Batch-1 vs batched per-window embedding cost, f32 and int8, on the
+/// paper backbone under `plan`. Each round times all four in turn, so
+/// every figure sees the same host load; the best round (after a
+/// warm-up round) is reported.
+fn batch_one(plan: KernelPlan) -> BatchOneReport {
+    let mut rng = SeededRng::new(0x54);
+    let net = SiameseNetwork::new(Mlp::new(&PAPER_BACKBONE, &mut rng).expect("backbone"), 1.0);
+    let qnet = QuantizedSiamese::quantize(&net).expect("quantize");
+    let rows: Vec<Vec<f32>> = (0..B1_BATCHED_ROWS)
+        .map(|_| (0..PAPER_BACKBONE[0]).map(|_| rng.normal()).collect())
+        .collect();
+    let one = Matrix::from_rows(&rows[..1]).expect("one row");
+    let batch = Matrix::from_rows(&rows).expect("batch");
+    let mut f32_ws = Workspace::with_exec(Exec::from_plan(plan));
+    let mut int8_ws = Workspace::with_exec(Exec::from_plan(plan));
+    let mut out = Matrix::default();
+    let batched_calls = B1_CALLS / B1_BATCHED_ROWS + 1;
+    // [f32 b1, int8 b1, f32 batched, int8 batched] in µs per call.
+    let mut best = [f64::INFINITY; 4];
+    for round in 0..=B1_ROUNDS {
+        let times = [
+            time_us(B1_CALLS, || {
+                net.embed_into(black_box(&one), &mut out, &mut f32_ws)
+                    .expect("f32 embed")
+            }),
+            time_us(B1_CALLS, || {
+                qnet.embed_into(black_box(&one), &mut out, &mut int8_ws)
+                    .expect("int8 embed")
+            }),
+            time_us(batched_calls, || {
+                net.embed_into(black_box(&batch), &mut out, &mut f32_ws)
+                    .expect("f32 embed")
+            }),
+            time_us(batched_calls, || {
+                qnet.embed_into(black_box(&batch), &mut out, &mut int8_ws)
+                    .expect("int8 embed")
+            }),
+        ];
+        if round > 0 {
+            for (b, t) in best.iter_mut().zip(times) {
+                *b = b.min(t);
+            }
+        }
+    }
+    let [f32_b1_us, int8_b1_us, f32_batched, int8_batched] = best;
+    BatchOneReport {
+        backbone: PAPER_BACKBONE.to_vec(),
+        batched_rows: B1_BATCHED_ROWS,
+        f32_b1_us,
+        int8_b1_us,
+        f32_batched_per_window_us: f32_batched / B1_BATCHED_ROWS as f64,
+        int8_batched_per_window_us: int8_batched / B1_BATCHED_ROWS as f64,
+        int8_over_f32_b1: int8_b1_us / f32_b1_us,
+        gate_max_int8_over_f32_b1: B1_MAX_INT8_OVER_F32,
+    }
+}
+
+/// Embed `features` `REPS` times under each of `a` and `b`, alternating
+/// calls so both see the same host load. Returns the best-observed ms
+/// under each and the last embedding under `b`.
+fn quant_interleaved(
+    net: &QuantizedSiamese,
+    features: &Matrix,
+    a: Exec,
+    b: Exec,
+) -> (f64, f64, Matrix) {
+    let mut ws = [Workspace::with_exec(a), Workspace::with_exec(b)];
+    let mut out = [Matrix::default(), Matrix::default()];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPS {
+        for ((w, o), b) in ws.iter_mut().zip(out.iter_mut()).zip(best.iter_mut()) {
+            let t0 = Instant::now();
+            net.embed_into(features, o, w).expect("embed");
+            *b = b.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let [_, last_b] = out;
+    (best[0], best[1], last_b)
 }
 
 fn main() {
@@ -225,6 +343,22 @@ fn main() {
         "int8 forward under the installed plan regressed: {gate_speedup:.2}x < {gate_threshold:.1}x"
     );
 
+    // ---- gate: batch-1 int8 vs batch-1 f32 on the paper backbone -------
+    let batch1 = batch_one(plan);
+    println!(
+        "quant_smoke: paper backbone per window, batch 1: f32 {:.1} us / int8 {:.1} us ({:.2}x, gate ≤ {B1_MAX_INT8_OVER_F32}x); batch {B1_BATCHED_ROWS}: f32 {:.1} us / int8 {:.1} us",
+        batch1.f32_b1_us,
+        batch1.int8_b1_us,
+        batch1.int8_over_f32_b1,
+        batch1.f32_batched_per_window_us,
+        batch1.int8_batched_per_window_us
+    );
+    assert!(
+        batch1.int8_over_f32_b1 <= B1_MAX_INT8_OVER_F32,
+        "int8 batch-1 embedding costs {:.2}x the f32 one (gate ≤ {B1_MAX_INT8_OVER_F32}x)",
+        batch1.int8_over_f32_b1
+    );
+
     // ---- forced-SIMD agreement sweep -----------------------------------
     // Devices capture the process-wide Exec when they deploy, so swap a
     // forced-SIMD plan into the global, deploy fresh devices, restore,
@@ -264,9 +398,10 @@ fn main() {
         );
         // Kernel level: forced-SIMD int8 embeddings must be bit-identical
         // to the inline scalar run.
-        let (simd_emb, simd_times) = quant_infer_run(
+        let (scalar_ms, simd_ms, simd_emb) = quant_interleaved(
             &qnet,
             &features,
+            Exec::from_plan(plan.with_threads(1).with_backend(Backend::Scalar)),
             Exec::from_plan(plan.with_threads(1).with_backend(simd)),
         );
         let identical = simd_emb == inline_emb;
@@ -274,7 +409,7 @@ fn main() {
             identical,
             "forced-{simd} int8 embeddings differ from the scalar inline path"
         );
-        let speedup = seq_min / stats(simd_times).min_ms;
+        let speedup = scalar_ms / simd_ms;
         println!("quant_smoke: {simd} int8 embed speedup vs scalar {speedup:.2}x");
         simd_backend = Some(simd.name().to_string());
         simd_f32_agreement = Some(f32_agreement);
@@ -287,6 +422,7 @@ fn main() {
     let report = QuantReport {
         bench: "quantized_inference".into(),
         plan: plan.describe(),
+        isa: Backend::isa_summary(),
         backend: plan.backend.to_string(),
         host_threads: plan.threads,
         eval_windows: eval.windows.len(),
@@ -298,6 +434,7 @@ fn main() {
         f32_bundle_bytes,
         int8_bundle_bytes,
         entries,
+        batch1,
         gate_speedup,
         gate_threshold,
         simd_backend,

@@ -9,7 +9,7 @@
 //! repeated batches reuse the same allocations.
 
 use crate::error::CoreError;
-use crate::ncm::{NcmDecision, NcmScratch};
+use crate::ncm::{NcmClassifier, NcmDecision, NcmScratch};
 use crate::precision::ResidentModel;
 use crate::Result;
 use magneto_tensor::{Matrix, Workspace};
@@ -18,11 +18,17 @@ use magneto_tensor::{Matrix, Workspace};
 /// feature rows plus the scratch pool the forward kernels draw from.
 /// Classification scratch rides along so the batch serve path
 /// ([`crate::inference::infer_batch`]) reuses one set of NCM buffers
-/// across every job of every batch.
+/// across every job of every batch, and that path keeps the batch's
+/// feature and embedding rows here until the next batch, so a caller
+/// can reuse a served window's features ([`staged_row`](Self::staged_row))
+/// or classify its embedding again
+/// ([`reclassify`](crate::inference::reclassify)) without recomputing
+/// either.
 #[derive(Debug, Default)]
 pub struct BatchEmbedder {
     ws: Workspace,
     features: Matrix,
+    embeddings: Matrix,
     ncm_scratch: NcmScratch,
     decision: NcmDecision,
 }
@@ -101,10 +107,32 @@ impl BatchEmbedder {
         Ok(())
     }
 
-    /// Disjoint borrows of the classification scratch and the reusable
-    /// decision (the `classify_into` argument pair).
-    pub(crate) fn classify_parts(&mut self) -> (&mut NcmScratch, &mut NcmDecision) {
-        (&mut self.ncm_scratch, &mut self.decision)
+    /// Feature row `r` of the staged batch (what
+    /// [`infer_batch`](crate::inference::infer_batch) featurized for its
+    /// `r`-th job).
+    ///
+    /// # Panics
+    /// When `r` is not a row of the staged batch.
+    pub fn staged_row(&self, r: usize) -> &[f32] {
+        self.features.row(r)
+    }
+
+    /// Embed the staged batch into the embedder's own embedding matrix,
+    /// kept until the next batch.
+    pub(crate) fn embed_staged_kept(&mut self, model: &ResidentModel) -> Result<()> {
+        model.embed_into(&self.features, &mut self.embeddings, &mut self.ws)?;
+        Ok(())
+    }
+
+    /// Classify row `r` of the kept embedding batch against `ncm`
+    /// through the embedder's resident scratch.
+    pub(crate) fn classify_kept(&mut self, r: usize, ncm: &NcmClassifier) -> Result<&NcmDecision> {
+        ncm.classify_into(
+            self.embeddings.row(r),
+            &mut self.ncm_scratch,
+            &mut self.decision,
+        )?;
+        Ok(&self.decision)
     }
 }
 

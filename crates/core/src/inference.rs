@@ -17,7 +17,6 @@ use crate::Result;
 use magneto_dsp::{
     segment::Segmenter, FrameGuard, GuardConfig, PreprocessingPipeline, SignalQuality,
 };
-use magneto_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -219,15 +218,13 @@ pub fn infer_batch(
                 .process_checked_into(job.window, staging.row_mut(i))?,
         );
     }
-    let mut embeddings = Matrix::default();
-    embedder.embed_staged(model, &mut embeddings)?;
+    embedder.embed_staged_kept(model)?;
     // Classify through the embedder's resident scratch (§9 `_into`
     // convention): the quantised-query/coarse-score/softmax buffers are
     // reused across every job of every batch this embedder serves.
-    let (scratch, decision) = embedder.classify_parts();
     let mut predictions = Vec::with_capacity(jobs.len());
     for ((r, job), quality) in jobs.iter().enumerate().zip(qualities) {
-        job.ncm.classify_into(embeddings.row(r), scratch, decision)?;
+        let decision = embedder.classify_kept(r, job.ncm)?;
         predictions.push(Prediction {
             label: decision.label.clone(),
             confidence: decision.confidence,
@@ -242,6 +239,32 @@ pub fn infer_batch(
         p.latency = per_window;
     }
     Ok(predictions)
+}
+
+/// Classify job `r` of the last [`infer_batch`] call on `embedder`
+/// again, against `ncm`, overwriting `pred`'s label, confidence and
+/// distances. The embedding row is reused, not recomputed: it depends
+/// only on the shared backbone, so when a session's classifier changes
+/// mid-batch (a self-healing recalibration commits), its later windows
+/// in that batch can be served exactly as if they had been batched
+/// after the change.
+///
+/// # Errors
+/// Classification failures (e.g. an embedding-dimension mismatch).
+///
+/// # Panics
+/// When `r` is not a job of the last batch.
+pub fn reclassify(
+    embedder: &mut BatchEmbedder,
+    r: usize,
+    ncm: &NcmClassifier,
+    pred: &mut Prediction,
+) -> Result<()> {
+    let decision = embedder.classify_kept(r, ncm)?;
+    pred.label.clone_from(&decision.label);
+    pred.confidence = decision.confidence;
+    pred.distances.clone_from(&decision.distances);
+    Ok(())
 }
 
 /// Batched inference over a backlog of windows: every window is

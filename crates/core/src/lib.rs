@@ -66,7 +66,9 @@ pub use error::CoreError;
 pub use incremental::{
     IncrementalConfig, RollbackReason, UpdateOutcome, UpdateReport, ValidationConfig,
 };
-pub use inference::{infer_batch, BatchJob, InferenceView, LatencyStats, Prediction, SensorHealth};
+pub use inference::{
+    infer_batch, reclassify, BatchJob, InferenceView, LatencyStats, Prediction, SensorHealth,
+};
 pub use magneto_dsp::{GuardConfig, SignalQuality};
 pub use label::LabelRegistry;
 pub use metrics::ConfusionMatrix;

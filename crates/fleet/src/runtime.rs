@@ -1026,30 +1026,32 @@ fn run_windows(
 /// The fleet-side self-healing step for one served window: observe the
 /// nearest-prototype distance on the session's drift monitor, stamp the
 /// drift status onto the reply, harvest confident nominal windows as
-/// recalibration evidence (featurized through the shared base's
-/// pipeline), and — on sustained drift past hysteresis and cooldown —
-/// rebuild the session's [`PersonalDelta`] off to the side and swap it
-/// in through the replay self-accuracy gate
-/// ([`SessionStore::recalibrate_delta`]), striking out on rollback. A
-/// no-op unless [`FleetConfig::healing`] is set and the session is a
-/// hot delta session.
+/// recalibration evidence (`features` is the window's row as the batch
+/// featurized it through the shared base's pipeline — the same function
+/// on the same window, so it is not recomputed), and — on sustained
+/// drift past hysteresis and cooldown — rebuild the session's
+/// [`PersonalDelta`] off to the side and swap it in through the replay
+/// self-accuracy gate ([`SessionStore::recalibrate_delta`]), striking
+/// out on rollback. A no-op unless [`FleetConfig::healing`] is set and
+/// the session is a hot delta session. Returns `true` when a
+/// recalibration committed, i.e. the session's classifier changed.
 fn heal_session(
     inner: &Inner,
     shard: &Shard,
     sessions: &mut SessionStore,
     req: &Request,
+    features: &[f32],
     pred: &mut magneto_core::Prediction,
-) {
+) -> bool {
     let candidate = {
         let Some(entry) = sessions.get_mut(req.session) else {
-            return;
+            return false;
         };
-        let SessionEntry { model, healing, .. } = entry;
-        let Some(heal) = healing.as_mut() else {
-            return;
-        };
-        let SessionModel::Delta(ds) = &*model else {
-            return;
+        if !matches!(entry.model, SessionModel::Delta(_)) {
+            return false;
+        }
+        let Some(heal) = entry.healing.as_mut() else {
+            return false;
         };
         let nearest = pred
             .distances
@@ -1064,18 +1066,8 @@ fn heal_session(
         }
         heal.was_drifted = drifted;
         // Harvest evidence: the policy filters on confidence and
-        // quality; featurization is only paid for eligible windows.
-        if pred.confidence >= heal.recal.config().min_confidence && !pred.quality.is_degraded() {
-            let mut row = vec![0.0f32; ds.base.pipeline.output_dim()];
-            if ds
-                .base
-                .pipeline
-                .process_checked_into(&req.window, &mut row)
-                .is_ok()
-            {
-                heal.recal.offer(&pred.label, &row, pred.confidence, pred.quality);
-            }
-        }
+        // quality.
+        heal.recal.offer(&pred.label, features, pred.confidence, pred.quality);
         if heal.recal.observe(status) {
             heal.recal.candidate()
         } else {
@@ -1083,29 +1075,47 @@ fn heal_session(
         }
     };
     let Some((label, rows)) = candidate else {
-        return;
+        return false;
     };
     let outcome =
         sessions.recalibrate_delta(req.session, &label, &rows, inner.config.replay_accuracy_floor);
     let Some(entry) = sessions.get_mut(req.session) else {
-        return;
+        return false;
     };
     let Some(heal) = entry.healing.as_mut() else {
-        return;
+        return false;
     };
     match outcome {
         Ok(ReplayOutcome::Committed { .. }) => {
             heal.recal.note_commit();
             heal.rebaseline();
             shard.counters.auto_recals.fetch_add(1, Ordering::Relaxed);
+            true
         }
         // A rejected or errored recalibration is a strike; the session's
         // old state is untouched and serving continues.
         Ok(ReplayOutcome::RolledBack { .. }) | Err(_) => {
             heal.recal.note_rollback();
             shard.counters.recal_rollbacks.fetch_add(1, Ordering::Relaxed);
+            false
         }
     }
+}
+
+/// Classify job `r` of the embedder's last batch again against the
+/// session's current classifier (see [`magneto_core::reclassify`]).
+fn reclassify_current(
+    sessions: &SessionStore,
+    req: &Request,
+    embedder: &mut BatchEmbedder,
+    r: usize,
+    pred: &mut magneto_core::Prediction,
+) -> Result<(), magneto_core::CoreError> {
+    let view = sessions
+        .get(req.session)
+        .and_then(|entry| entry.view())
+        .expect("a session recalibrated this batch is hot");
+    magneto_core::reclassify(embedder, r, view.ncm, pred)
 }
 
 /// Scatter one prediction (or serving error) back to its session.
@@ -1241,9 +1251,26 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
 
             match outcome {
                 Ok(preds) => {
-                    for (&i, mut pred) in indices.iter().zip(preds) {
-                        heal_session(inner, shard, &mut sessions, &popped[i], &mut pred);
-                        reply_to(&mut sessions, &popped[i], Ok(pred));
+                    // Sessions whose classifier a recalibration replaced
+                    // earlier in this batch: their later windows were
+                    // classified against the old one, so they are
+                    // classified again from the kept embedding rows —
+                    // what serving them after the commit computes.
+                    let mut recalibrated: Vec<u64> = Vec::new();
+                    for (r, (&i, mut pred)) in indices.iter().zip(preds).enumerate() {
+                        let req = &popped[i];
+                        if recalibrated.contains(&req.session) {
+                            let redone = reclassify_current(&sessions, req, embedder, r, &mut pred);
+                            if let Err(e) = redone {
+                                reply_to(&mut sessions, req, Err(e.to_string()));
+                                continue;
+                            }
+                        }
+                        let features = embedder.staged_row(r);
+                        if heal_session(inner, shard, &mut sessions, req, features, &mut pred) {
+                            recalibrated.push(req.session);
+                        }
+                        reply_to(&mut sessions, req, Ok(pred));
                     }
                 }
                 Err(e) => {

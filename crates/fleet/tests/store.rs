@@ -682,3 +682,119 @@ fn rejected_fleet_recalibration_leaves_delta_bytes_exact() {
     );
     fleet.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Self-healing is independent of batching, and harvests the features
+// the batch already computed.
+// ---------------------------------------------------------------------
+
+/// A healing fleet with room for a 64-window batch from one session.
+fn batching_healing_fleet() -> Fleet {
+    Fleet::new(FleetConfig {
+        healing: Some(magneto_core::SelfHealingConfig {
+            min_confidence: 0.05,
+            cooldown: 4,
+            ..magneto_core::SelfHealingConfig::default()
+        }),
+        max_batch: 64,
+        max_inflight_per_session: 64,
+        ..FleetConfig::deterministic()
+    })
+    .unwrap()
+}
+
+/// The seeded healing scenario: a calibration recording, then clean
+/// walking, then a sustained gait change that drives recalibrations.
+fn healing_scenario() -> (Vec<Vec<Vec<f32>>>, Vec<Vec<Vec<f32>>>) {
+    let calib = drifted_walk_windows(4, 76, magneto_sensors::DriftPlan::none(0));
+    let mut served = drifted_walk_windows(8, 77, magneto_sensors::DriftPlan::none(0));
+    served.extend(drifted_walk_windows(
+        56,
+        78,
+        magneto_sensors::DriftPlan::gait_change(79, 1.6, 600),
+    ));
+    (calib, served)
+}
+
+/// Serve `windows` on a fresh calibrated session of a fresh healing
+/// fleet, queueing `per_pump` windows before each `pump`.
+fn serve_healing(
+    precision: Precision,
+    per_pump: usize,
+) -> (Vec<Prediction>, magneto_core::HealingStats, PersonalDelta) {
+    let (calib, served) = healing_scenario();
+    let mut fleet = batching_healing_fleet();
+    let key = fleet.register_base(bundle(), precision).unwrap();
+    let (id, rx) = fleet.register_from_base(key, precision).unwrap();
+    fleet.calibrate_session(id, "user_walk", &calib).unwrap();
+    let mut preds = Vec::new();
+    for chunk in served.chunks(per_pump) {
+        for w in chunk {
+            fleet.submit(id, w.clone()).unwrap();
+        }
+        while fleet.pump() > 0 {}
+        preds.extend(chunk.iter().map(|_| recv_ok(&rx)));
+    }
+    let stats = fleet.session_healing_stats(id).unwrap().unwrap();
+    let delta = fleet.session_delta(id).unwrap();
+    fleet.shutdown();
+    (preds, stats, delta)
+}
+
+#[test]
+fn healing_replies_do_not_depend_on_batch_composition() {
+    for precision in [Precision::Int8, Precision::F32] {
+        let (single, single_stats, single_delta) = serve_healing(precision, 1);
+        let (batched, batched_stats, batched_delta) = serve_healing(precision, 64);
+        assert!(
+            single_stats.auto_recals >= 1,
+            "{precision}: the scenario must commit a recalibration mid-stream: {single_stats:?}"
+        );
+        assert_eq!(single.len(), batched.len());
+        for (i, (a, b)) in single.iter().zip(&batched).enumerate() {
+            assert_eq!(a.drift, b.drift, "{precision}: reply {i} drift status");
+            assert_bit_identical(a, b);
+        }
+        assert_eq!(single_stats, batched_stats, "{precision}: healing counters");
+        assert_eq!(single_delta.to_bytes(), batched_delta.to_bytes(), "{precision}: delta");
+    }
+}
+
+#[test]
+fn heal_harvest_reuses_the_served_features_exactly() {
+    let (_, served) = healing_scenario();
+    let (_, stats, delta) = serve_healing(Precision::Int8, 1);
+    // Counters of this seeded scenario as served when the harvest still
+    // featurized every eligible window a second time: reusing the
+    // batch's feature rows must not move any of them.
+    assert_eq!(
+        (stats.drifted_windows, stats.drift_alerts, stats.auto_recals, stats.recal_rollbacks),
+        PINNED_HEALING_COUNTS,
+        "{stats:?}"
+    );
+    // Every recalibrated support row is, bit for bit, the served
+    // featurization of one of the session's windows.
+    let pipeline = &bundle().pipeline;
+    let featurized: Vec<Vec<u32>> = served
+        .iter()
+        .map(|w| {
+            let mut row = vec![0.0f32; pipeline.output_dim()];
+            pipeline.process_checked_into(w, &mut row).unwrap();
+            row.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    let mut harvested = 0;
+    for label in delta.support_labels() {
+        for row in delta.support(label).unwrap() {
+            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            if featurized.contains(&bits) {
+                harvested += 1;
+            }
+        }
+    }
+    assert!(harvested >= 1, "no harvested row matches a served window's features");
+}
+
+/// `(drifted_windows, drift_alerts, auto_recals, recal_rollbacks)` of
+/// [`heal_harvest_reuses_the_served_features_exactly`].
+const PINNED_HEALING_COUNTS: (u64, u64, u64, u64) = (3, 1, 1, 0);

@@ -201,31 +201,89 @@ pub(crate) unsafe fn tile_2x4(
     out
 }
 
-/// Widen 8 int8 weights at `p` to 8 lanes of i32.
+/// int8 weight columns per 128-bit load of the madd GEMM kernels.
+const QCOLS: usize = 16;
+
+/// k steps whose activations are packed into pairs at a time by the
+/// madd GEMM kernels (a 128-byte stack buffer per row).
+const KBLOCK: usize = 64;
+
+/// Pack the activations `x` (at most [`KBLOCK`] of them) as i16 pairs,
+/// one i32 per k-pair — low half `x[2p]`, high half `x[2p + 1]` (zero
+/// past the end) — the broadcast operand of `madd_epi16`. Returns the
+/// number of pairs written.
+#[inline]
+fn pack_x_pairs(x: &[i8], out: &mut [i32; KBLOCK / 2]) -> usize {
+    debug_assert!(x.len() <= KBLOCK);
+    let mut pairs = x.chunks_exact(2);
+    for (o, xy) in out.iter_mut().zip(&mut pairs) {
+        *o = (i32::from(xy[0]) & 0xFFFF) | (i32::from(xy[1]) << 16);
+    }
+    let full = x.len() / 2;
+    if let [last] = pairs.remainder() {
+        out[full] = i32::from(*last) & 0xFFFF;
+        return full + 1;
+    }
+    full
+}
+
+/// Load the 16-column chunk at column `col` of weight rows `kk` and
+/// `kk + 1` (an all-zero row when `kk + 1 == k`, the odd last step),
+/// interleave them byte by byte and widen to i16: the `madd_epi16`
+/// operands for columns `col..col + 8` and `col + 8..col + 16`, each
+/// i32 lane holding the pair `(w[kk][j], w[kk + 1][j])`. The resident
+/// row-major layout is untouched; k-pairs are formed on the fly.
 ///
 /// # Safety
-/// Requires AVX2 at runtime; `p` must be valid for an 8-byte read.
+/// Requires AVX2 at runtime. `col + 16 <= n`, `kk < k`, and `w` must
+/// cover `k × n`.
+#[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn load8_i8_as_i32(p: *const i8) -> __m256i {
-    // SAFETY: caller guarantees 8 readable bytes at `p`; `loadl` reads
-    // exactly the low 64 bits.
-    let bytes = unsafe { _mm_loadl_epi64(p.cast()) };
-    _mm256_cvtepi8_epi32(bytes)
+unsafe fn load_k_pair(w: &[i8], n: usize, k: usize, kk: usize, col: usize) -> [__m256i; 2] {
+    debug_assert!(kk < k && w.len() >= k * n);
+    // SAFETY: `kk * n + col + 16 <= kk * n + n <= k * n <= w.len()`, and
+    // the same for row `kk + 1` when it exists.
+    let (r0, r1) = unsafe {
+        (
+            _mm_loadu_si128(w.as_ptr().add(kk * n + col).cast()),
+            if kk + 1 < k {
+                _mm_loadu_si128(w.as_ptr().add((kk + 1) * n + col).cast())
+            } else {
+                _mm_setzero_si128()
+            },
+        )
+    };
+    [
+        _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(r0, r1)),
+        _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(r0, r1)),
+    ]
+}
+
+/// `acc += madd(w, x)`: per i32 lane `w[kk][j]·x[kk] + w[kk+1][j]·x[kk+1]`,
+/// exact (a pair sum is at most 2·127²).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn madd_acc(acc: __m256i, w: __m256i, x: __m256i) -> __m256i {
+    _mm256_add_epi32(acc, _mm256_madd_epi16(w, x))
 }
 
 /// AVX2 instance of [`super::scalar::qtile`]: i8×i8→i32 for a 4-row ×
-/// `TC`-column tile. Integer accumulation is exactly associative, so
-/// this is bit-identical to the scalar kernel by construction.
+/// `TC`-column tile through `cvtepi8_epi16` + `madd_epi16`, two k steps
+/// per multiply-accumulate (the `qdot` technique below; the broadcast
+/// `mullo_epi32` form this replaced lost to auto-vectorised scalar).
+/// Integer accumulation is exactly associative, so this is
+/// bit-identical to the scalar kernel by construction.
 ///
-/// Column strips are processed one vector (8 outputs) at a time with
-/// four row accumulators live — 4 × (`TC`/8) vector registers would
-/// spill at `TC = 32`, re-reading the L1-resident x rows per strip is
-/// cheaper.
+/// The tile is processed one 16-column chunk at a time: eight
+/// accumulators, two weight vectors and the broadcast activation pair
+/// fit the sixteen AVX2 vector registers without spilling. Activation
+/// pairs are packed per [`KBLOCK`] k steps into a stack buffer, so the
+/// inner loop broadcasts them straight from memory.
 ///
 /// # Safety
-/// Requires AVX2 at runtime. `TC` must be a multiple of 8,
-/// `j0 + TC <= n`, and the slices must cover a full `4 × k` (resp.
-/// `k × n`) block starting at `i0` (resp. row 0).
+/// Requires AVX2 at runtime. `TC` must be 16 or 32, `j0 + TC <= n`, and
+/// the slices must cover a full `4 × k` (resp. `k × n`) block starting
+/// at `i0` (resp. row 0).
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn qtile<const TC: usize>(
     x_q: &[i8],
@@ -236,35 +294,41 @@ pub(crate) unsafe fn qtile<const TC: usize>(
     j0: usize,
     acc: &mut [[i32; TC]; QTILE_ROWS],
 ) {
-    debug_assert!(TC.is_multiple_of(VL));
+    debug_assert!(TC.is_multiple_of(QCOLS) && TC <= 2 * QCOLS);
     debug_assert!(j0 + TC <= n && w.len() >= k * n && x_q.len() >= (i0 + QTILE_ROWS) * k);
-    let x0 = &x_q[i0 * k..(i0 + 1) * k];
-    let x1 = &x_q[(i0 + 1) * k..(i0 + 2) * k];
-    let x2 = &x_q[(i0 + 2) * k..(i0 + 3) * k];
-    let x3 = &x_q[(i0 + 3) * k..(i0 + 4) * k];
-    for v in 0..TC / VL {
-        let mut vacc = [_mm256_setzero_si256(); QTILE_ROWS];
-        for kk in 0..k {
-            let xv0 = i32::from(x0[kk]);
-            let xv1 = i32::from(x1[kk]);
-            let xv2 = i32::from(x2[kk]);
-            let xv3 = i32::from(x3[kk]);
-            if (xv0 | xv1 | xv2 | xv3) == 0 {
-                // Same post-ReLU zero skip as scalar: adding exact
-                // integer zeros is a no-op either way.
-                continue;
+    let x: [&[i8]; QTILE_ROWS] = std::array::from_fn(|r| &x_q[(i0 + r) * k..(i0 + r + 1) * k]);
+    let mut xp = [[0i32; KBLOCK / 2]; QTILE_ROWS];
+    for c in 0..TC / QCOLS {
+        let col = j0 + c * QCOLS;
+        let mut vacc = [[_mm256_setzero_si256(); 2]; QTILE_ROWS];
+        for k0 in (0..k).step_by(KBLOCK) {
+            let k1 = (k0 + KBLOCK).min(k);
+            let mut pairs = 0;
+            for (xr, row) in xp.iter_mut().zip(x.iter()) {
+                pairs = pack_x_pairs(&row[k0..k1], xr);
             }
-            // SAFETY: `kk * n + j0 + v * VL + VL <= kk * n + n <= k * n`,
-            // so 8 bytes are readable.
-            let wv = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * VL)) };
-            vacc[0] = _mm256_add_epi32(vacc[0], _mm256_mullo_epi32(_mm256_set1_epi32(xv0), wv));
-            vacc[1] = _mm256_add_epi32(vacc[1], _mm256_mullo_epi32(_mm256_set1_epi32(xv1), wv));
-            vacc[2] = _mm256_add_epi32(vacc[2], _mm256_mullo_epi32(_mm256_set1_epi32(xv2), wv));
-            vacc[3] = _mm256_add_epi32(vacc[3], _mm256_mullo_epi32(_mm256_set1_epi32(xv3), wv));
+            for p in 0..pairs {
+                if (xp[0][p] | xp[1][p] | xp[2][p] | xp[3][p]) == 0 {
+                    // Same post-ReLU zero skip as scalar: adding exact
+                    // integer zeros is a no-op either way.
+                    continue;
+                }
+                // SAFETY: `col + QCOLS <= j0 + TC <= n` and
+                // `k0 + 2p < k1 <= k`.
+                let wv = unsafe { load_k_pair(w, n, k, k0 + 2 * p, col) };
+                for (vrow, xr) in vacc.iter_mut().zip(xp.iter()) {
+                    let xv = _mm256_set1_epi32(xr[p]);
+                    vrow[0] = madd_acc(vrow[0], wv[0], xv);
+                    vrow[1] = madd_acc(vrow[1], wv[1], xv);
+                }
+            }
         }
-        for (row, vr) in acc.iter_mut().zip(vacc.iter()) {
-            // SAFETY: `v * VL + VL <= TC`, in bounds of the `[i32; TC]` row.
-            unsafe { _mm256_storeu_si256(row.as_mut_ptr().add(v * VL).cast(), *vr) };
+        for (row, vrow) in acc.iter_mut().zip(vacc.iter()) {
+            for (h, v) in vrow.iter().enumerate() {
+                // SAFETY: `c * QCOLS + h * VL + VL <= TC`, in bounds of
+                // the `[i32; TC]` row.
+                unsafe { _mm256_storeu_si256(row.as_mut_ptr().add(c * QCOLS + h * VL).cast(), *v) };
+            }
         }
     }
 }
@@ -373,13 +437,16 @@ pub(crate) unsafe fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8])
     out
 }
 
-/// AVX2 instance of [`super::scalar::qrow`]: one int8 row over a
-/// `jw`-wide strip, vectorised in 8-output chunks with a scalar tail
-/// for ragged strip widths. Bit-identical to scalar (exact integers).
+/// AVX2 instance of [`super::scalar::qrow`]: one int8 row over a full
+/// `TC`-column strip with `k` outermost and every column's accumulator
+/// live (`TC / 8` vectors), so each weight row of the strip is read
+/// once; two k steps per `madd_epi16` as in [`qtile`]. A ragged strip
+/// (`jw < TC`) takes the scalar loop. Bit-identical to scalar (exact
+/// integers).
 ///
 /// # Safety
-/// Requires AVX2 at runtime. `j0 + jw <= n` and `w` must cover
-/// `x_row.len() × n`.
+/// Requires AVX2 at runtime. `TC` must be 16 or 32, `j0 + jw <= n` and
+/// `w` must cover `x_row.len() × n`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn qrow<const TC: usize>(
     x_row: &[i8],
@@ -389,32 +456,33 @@ pub(crate) unsafe fn qrow<const TC: usize>(
     jw: usize,
     acc: &mut [i32; TC],
 ) {
+    debug_assert!(TC.is_multiple_of(QCOLS) && TC <= 2 * QCOLS);
     debug_assert!(jw <= TC && j0 + jw <= n && w.len() >= x_row.len() * n);
-    *acc = [0; TC];
-    let vw = jw / VL;
-    for v in 0..vw {
-        let mut vacc = _mm256_setzero_si256();
-        for (kk, &xq) in x_row.iter().enumerate() {
-            let xv = i32::from(xq);
-            if xv == 0 {
+    if jw < TC {
+        super::scalar::qrow_ragged(x_row, w, n, j0, jw, acc);
+        return;
+    }
+    let k = x_row.len();
+    let mut xp = [0i32; KBLOCK / 2];
+    let mut vacc = [_mm256_setzero_si256(); 4];
+    for k0 in (0..k).step_by(KBLOCK) {
+        let pairs = pack_x_pairs(&x_row[k0..(k0 + KBLOCK).min(k)], &mut xp);
+        for (p, &xy) in xp.iter().take(pairs).enumerate() {
+            if xy == 0 {
                 continue;
             }
-            // SAFETY: `kk * n + j0 + v * VL + VL <= (kk + 1) * n <= w.len()`.
-            let wv = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * VL)) };
-            vacc = _mm256_add_epi32(vacc, _mm256_mullo_epi32(_mm256_set1_epi32(xv), wv));
+            let xv = _mm256_set1_epi32(xy);
+            for c in 0..TC / QCOLS {
+                // SAFETY: `j0 + c * QCOLS + QCOLS <= j0 + TC <= n` and
+                // `k0 + 2p < k`.
+                let wv = unsafe { load_k_pair(w, n, k, k0 + 2 * p, j0 + c * QCOLS) };
+                vacc[2 * c] = madd_acc(vacc[2 * c], wv[0], xv);
+                vacc[2 * c + 1] = madd_acc(vacc[2 * c + 1], wv[1], xv);
+            }
         }
-        // SAFETY: `v * VL + VL <= jw <= TC`, in bounds of `acc`.
-        unsafe { _mm256_storeu_si256(acc.as_mut_ptr().add(v * VL).cast(), vacc) };
     }
-    // Ragged tail of the strip (jw % 8 columns), scalar.
-    for (kk, &xq) in x_row.iter().enumerate() {
-        let xv = i32::from(xq);
-        if xv == 0 {
-            continue;
-        }
-        let w_row = &w[kk * n + j0 + vw * VL..kk * n + j0 + jw];
-        for (t, &wq) in w_row.iter().enumerate() {
-            acc[vw * VL + t] += xv * i32::from(wq);
-        }
+    for (v, lane) in vacc.iter().take(TC / VL).enumerate() {
+        // SAFETY: `v * VL + VL <= TC`, in bounds of `acc`.
+        unsafe { _mm256_storeu_si256(acc.as_mut_ptr().add(v * VL).cast(), *lane) };
     }
 }

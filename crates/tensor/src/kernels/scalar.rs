@@ -220,7 +220,42 @@ pub(crate) fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8]) -> [i3
 }
 
 /// i32 accumulators for one int8 row over a `jw`-wide column strip.
+///
+/// A full strip (`jw == TC`, every strip but a ragged last one) keeps
+/// all `TC` accumulators in a local array across the whole `k` loop and
+/// reads each weight row as a fixed-width `&[i8; TC]`, so the compiler
+/// holds the strip in vector registers with no bounds checks inside the
+/// loop. The ragged strip takes the dynamic-width loop.
 pub(crate) fn qrow<const TC: usize>(
+    x_row: &[i8],
+    w: &[i8],
+    n: usize,
+    j0: usize,
+    jw: usize,
+    acc: &mut [i32; TC],
+) {
+    if jw == TC {
+        let mut strip = [0i32; TC];
+        for (kk, &xq) in x_row.iter().enumerate() {
+            let xv = i32::from(xq);
+            if xv == 0 {
+                continue;
+            }
+            let at = kk * n + j0;
+            let w_row: &[i8; TC] = w[at..at + TC].try_into().unwrap();
+            for (s, &wq) in strip.iter_mut().zip(w_row) {
+                *s += xv * i32::from(wq);
+            }
+        }
+        *acc = strip;
+        return;
+    }
+    qrow_ragged(x_row, w, n, j0, jw, acc);
+}
+
+/// The dynamic-width form of [`qrow`] for a strip narrower than `TC`
+/// (also the ragged-strip fallback of the SIMD instances).
+pub(crate) fn qrow_ragged<const TC: usize>(
     x_row: &[i8],
     w: &[i8],
     n: usize,

@@ -514,6 +514,65 @@ mod tests {
         assert_eq!(Precision::default(), Precision::F32);
     }
 
+    /// Batch-1 and small-batch geometries — the rows the single-row
+    /// kernel serves (and the tile remainders) — on every available
+    /// backend, both tile widths and both kernel choices, against the
+    /// straight-line reference: widths around the 16/32-column strips
+    /// (ragged last strips), odd and even `k` (the madd kernels pair k
+    /// steps), dense rows, post-ReLU rows with exact zeros, and
+    /// all-zero rows (scale 1.0, every k step skipped).
+    #[test]
+    fn small_batches_match_reference_on_every_backend() {
+        let act = |v: f32| if v > 0.0 { v } else { 0.01 * v };
+        for m in [1usize, 2, 3, 5] {
+            for n in [1usize, 15, 16, 17, 31, 32, 33, 512] {
+                for k in [1usize, 2, 3, 80] {
+                    let seed = (m * 1000 + n * 10 + k) as u64;
+                    let w = QuantMatrix::quantize(&random_matrix(k, n, seed)).unwrap();
+                    let bias: Vec<f32> = (0..n).map(|j| (j as f32).cos() * 0.1).collect();
+                    let dense = random_matrix(m, k, seed ^ 0x5EED);
+                    let mut relu = dense.clone();
+                    relu.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+                    let mut zero_rows = dense.clone();
+                    for r in (0..m).step_by(2) {
+                        zero_rows.row_mut(r).fill(0.0);
+                    }
+                    for x in [&dense, &relu, &zero_rows] {
+                        let expect = reference(x, &w, &bias, act);
+                        for backend in Backend::candidates() {
+                            for tile_cols in [16usize, 32] {
+                                for tiled_min in [1usize, usize::MAX] {
+                                    let plan = KernelPlan {
+                                        i8_tile_cols: tile_cols,
+                                        i8_tiled_min_rows: tiled_min,
+                                        i8_backend: backend,
+                                        ..KernelPlan::inline()
+                                    };
+                                    let mut out = Matrix::default();
+                                    let mut scratch = QuantScratch::new();
+                                    w.matmul_bias_act_into_exec(
+                                        x,
+                                        &bias,
+                                        act,
+                                        &mut out,
+                                        &mut scratch,
+                                        &Exec::from_plan(plan),
+                                    )
+                                    .unwrap();
+                                    assert_eq!(
+                                        out, expect,
+                                        "{backend} ({m},{k},{n}) tile_cols={tile_cols} \
+                                         tiled_min={tiled_min}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
