@@ -688,14 +688,19 @@ fn rejected_fleet_recalibration_leaves_delta_bytes_exact() {
 // the batch already computed.
 // ---------------------------------------------------------------------
 
+/// The self-healing policy of [`batching_healing_fleet`].
+fn batching_healing_config() -> magneto_core::SelfHealingConfig {
+    magneto_core::SelfHealingConfig {
+        min_confidence: 0.05,
+        cooldown: 4,
+        ..magneto_core::SelfHealingConfig::default()
+    }
+}
+
 /// A healing fleet with room for a 64-window batch from one session.
 fn batching_healing_fleet() -> Fleet {
     Fleet::new(FleetConfig {
-        healing: Some(magneto_core::SelfHealingConfig {
-            min_confidence: 0.05,
-            cooldown: 4,
-            ..magneto_core::SelfHealingConfig::default()
-        }),
+        healing: Some(batching_healing_config()),
         max_batch: 64,
         max_inflight_per_session: 64,
         ..FleetConfig::deterministic()
@@ -763,36 +768,57 @@ fn healing_replies_do_not_depend_on_batch_composition() {
 #[test]
 fn heal_harvest_reuses_the_served_features_exactly() {
     let (_, served) = healing_scenario();
-    let (_, stats, delta) = serve_healing(Precision::Int8, 1);
-    // Counters of this seeded scenario as served when the harvest still
-    // featurized every eligible window a second time: reusing the
-    // batch's feature rows must not move any of them.
-    assert_eq!(
-        (stats.drifted_windows, stats.drift_alerts, stats.auto_recals, stats.recal_rollbacks),
-        PINNED_HEALING_COUNTS,
-        "{stats:?}"
-    );
-    // Every recalibrated support row is, bit for bit, the served
-    // featurization of one of the session's windows.
+    // The served windows featurized independently of the fleet.
     let pipeline = &bundle().pipeline;
-    let featurized: Vec<Vec<u32>> = served
+    let features: Vec<Vec<f32>> = served
         .iter()
         .map(|w| {
             let mut row = vec![0.0f32; pipeline.output_dim()];
             pipeline.process_checked_into(w, &mut row).unwrap();
-            row.iter().map(|v| v.to_bits()).collect()
+            row
         })
         .collect();
-    let mut harvested = 0;
-    for label in delta.support_labels() {
-        for row in delta.support(label).unwrap() {
-            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
-            if featurized.contains(&bits) {
-                harvested += 1;
-            }
-        }
+    let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+        rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    for per_pump in [1, 64] {
+        let (preds, stats, delta) = serve_healing(Precision::Int8, per_pump);
+        // Counters of this seeded scenario as served when the harvest
+        // still featurized every eligible window a second time: reusing
+        // the batch's feature rows must not move any of them.
+        assert_eq!(
+            (stats.drifted_windows, stats.drift_alerts, stats.auto_recals, stats.recal_rollbacks),
+            PINNED_HEALING_COUNTS,
+            "per_pump {per_pump}: {stats:?}"
+        );
+        // Replay the harvest policy over the replies, offering the
+        // independently featurized rows: the candidate it commits first
+        // (the only recalibration, per the counters) must be the
+        // recalibrated label's whole support set, row for row and bit
+        // for bit.
+        let mut policy = magneto_core::Recalibrator::new(batching_healing_config()).unwrap();
+        let (label, expected) = preds
+            .iter()
+            .zip(&features)
+            .find_map(|(pred, row)| {
+                policy.offer(&pred.label, row, pred.confidence, pred.quality);
+                let status = pred.drift.expect("a healing session reports drift");
+                if policy.observe(status) {
+                    policy.candidate()
+                } else {
+                    None
+                }
+            })
+            .expect("the scenario commits a recalibration");
+        let support = bits(delta.support(&label).expect("the recalibrated label has support"));
+        let expected = bits(&expected);
+        assert_eq!(support.len(), expected.len(), "per_pump {per_pump}: rows of {label}");
+        let differs = support.iter().zip(&expected).position(|(a, b)| a != b);
+        assert_eq!(
+            differs, None,
+            "per_pump {per_pump}: support row of {label} is not the served features"
+        );
     }
-    assert!(harvested >= 1, "no harvested row matches a served window's features");
 }
 
 /// `(drifted_windows, drift_alerts, auto_recals, recal_rollbacks)` of

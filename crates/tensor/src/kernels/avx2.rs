@@ -436,53 +436,3 @@ pub(crate) unsafe fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8])
     }
     out
 }
-
-/// AVX2 instance of [`super::scalar::qrow`]: one int8 row over a full
-/// `TC`-column strip with `k` outermost and every column's accumulator
-/// live (`TC / 8` vectors), so each weight row of the strip is read
-/// once; two k steps per `madd_epi16` as in [`qtile`]. A ragged strip
-/// (`jw < TC`) takes the scalar loop. Bit-identical to scalar (exact
-/// integers).
-///
-/// # Safety
-/// Requires AVX2 at runtime. `TC` must be 16 or 32, `j0 + jw <= n` and
-/// `w` must cover `x_row.len() × n`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn qrow<const TC: usize>(
-    x_row: &[i8],
-    w: &[i8],
-    n: usize,
-    j0: usize,
-    jw: usize,
-    acc: &mut [i32; TC],
-) {
-    debug_assert!(TC.is_multiple_of(QCOLS) && TC <= 2 * QCOLS);
-    debug_assert!(jw <= TC && j0 + jw <= n && w.len() >= x_row.len() * n);
-    if jw < TC {
-        super::scalar::qrow_ragged(x_row, w, n, j0, jw, acc);
-        return;
-    }
-    let k = x_row.len();
-    let mut xp = [0i32; KBLOCK / 2];
-    let mut vacc = [_mm256_setzero_si256(); 4];
-    for k0 in (0..k).step_by(KBLOCK) {
-        let pairs = pack_x_pairs(&x_row[k0..(k0 + KBLOCK).min(k)], &mut xp);
-        for (p, &xy) in xp.iter().take(pairs).enumerate() {
-            if xy == 0 {
-                continue;
-            }
-            let xv = _mm256_set1_epi32(xy);
-            for c in 0..TC / QCOLS {
-                // SAFETY: `j0 + c * QCOLS + QCOLS <= j0 + TC <= n` and
-                // `k0 + 2p < k`.
-                let wv = unsafe { load_k_pair(w, n, k, k0 + 2 * p, j0 + c * QCOLS) };
-                vacc[2 * c] = madd_acc(vacc[2 * c], wv[0], xv);
-                vacc[2 * c + 1] = madd_acc(vacc[2 * c + 1], wv[1], xv);
-            }
-        }
-    }
-    for (v, lane) in vacc.iter().take(TC / VL).enumerate() {
-        // SAFETY: `v * VL + VL <= TC`, in bounds of `acc`.
-        unsafe { _mm256_storeu_si256(acc.as_mut_ptr().add(v * VL).cast(), *lane) };
-    }
-}

@@ -200,7 +200,9 @@ pub(crate) fn qtile_dispatch<const TC: usize>(
 }
 
 /// Dispatch of the single-row int8 strip kernel. Bit-identical across
-/// backends (exact integer accumulation).
+/// backends (exact integer accumulation). AVX2 runs the scalar kernel,
+/// which the compiler auto-vectorises: a `madd_epi16` row kernel only
+/// tied it at batch 1, where no second row reuses a widened weight pair.
 #[inline]
 #[allow(clippy::too_many_arguments)] // tile geometry is inherently wide
 pub(crate) fn qrow_dispatch<const TC: usize>(
@@ -214,12 +216,6 @@ pub(crate) fn qrow_dispatch<const TC: usize>(
 ) {
     match backend {
         Backend::Scalar => scalar::qrow::<TC>(x_row, w, n, j0, jw, acc),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            debug_check_available(backend);
-            // SAFETY: sanitized plans guarantee AVX2 at runtime.
-            unsafe { avx2::qrow::<TC>(x_row, w, n, j0, jw, acc) }
-        }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::qrow::<TC>(x_row, w, n, j0, jw, acc),
         #[allow(unreachable_patterns)]

@@ -253,9 +253,8 @@ pub(crate) fn qrow<const TC: usize>(
     qrow_ragged(x_row, w, n, j0, jw, acc);
 }
 
-/// The dynamic-width form of [`qrow`] for a strip narrower than `TC`
-/// (also the ragged-strip fallback of the SIMD instances).
-pub(crate) fn qrow_ragged<const TC: usize>(
+/// The dynamic-width form of [`qrow`] for a strip narrower than `TC`.
+fn qrow_ragged<const TC: usize>(
     x_row: &[i8],
     w: &[i8],
     n: usize,
