@@ -15,8 +15,10 @@
 //!    under the same plan: a lone window is where a user waits, and the
 //!    int8 single-row kernel once ran ~10× slower than f32 there.
 
-use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision};
-use magneto_nn::{Mlp, QuantizedSiamese, SiameseNetwork, PAPER_BACKBONE};
+use magneto_core::{
+    CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision, ResidentModel,
+};
+use magneto_nn::{Mlp, SiameseNetwork, PAPER_BACKBONE};
 use magneto_sensors::{GeneratorConfig, SensorDataset};
 use magneto_tensor::{install_global, Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
 use serde::Serialize;
@@ -114,7 +116,7 @@ fn stats(mut ms: Vec<f64>) -> Timings {
 
 /// Embed `features` `REPS` times on the given exec; returns the last
 /// embedding batch and per-call times.
-fn quant_infer_run(net: &QuantizedSiamese, features: &Matrix, exec: Exec) -> (Matrix, Vec<f64>) {
+fn quant_infer_run(net: &ResidentModel, features: &Matrix, exec: Exec) -> (Matrix, Vec<f64>) {
     let mut ws = Workspace::with_exec(exec);
     let mut out = Matrix::default();
     let mut times = Vec::with_capacity(REPS);
@@ -141,8 +143,11 @@ fn time_us(calls: usize, mut f: impl FnMut()) -> f64 {
 /// warm-up round) is reported.
 fn batch_one(plan: KernelPlan) -> BatchOneReport {
     let mut rng = SeededRng::new(0x54);
-    let net = SiameseNetwork::new(Mlp::new(&PAPER_BACKBONE, &mut rng).expect("backbone"), 1.0);
-    let qnet = QuantizedSiamese::quantize(&net).expect("quantize");
+    let net = ResidentModel::from(SiameseNetwork::new(
+        Mlp::new(&PAPER_BACKBONE, &mut rng).expect("backbone"),
+        1.0,
+    ));
+    let qnet = net.clone().into_precision(Precision::Int8).expect("quantize");
     let rows: Vec<Vec<f32>> = (0..B1_BATCHED_ROWS)
         .map(|_| (0..PAPER_BACKBONE[0]).map(|_| rng.normal()).collect())
         .collect();
@@ -196,7 +201,7 @@ fn batch_one(plan: KernelPlan) -> BatchOneReport {
 /// calls so both see the same host load. Returns the best-observed ms
 /// under each and the last embedding under `b`.
 fn quant_interleaved(
-    net: &QuantizedSiamese,
+    net: &ResidentModel,
     features: &Matrix,
     a: Exec,
     b: Exec,
@@ -287,8 +292,12 @@ fn main() {
 
     // ---- kernel-level sweep: bit-identity across pool sizes ------------
     let mut rng = SeededRng::new(0x53);
-    let net = SiameseNetwork::new(Mlp::new(DIMS, &mut rng).expect("backbone"), 1.0);
-    let qnet = QuantizedSiamese::quantize(&net).expect("quantize");
+    let qnet = ResidentModel::from(SiameseNetwork::new(
+        Mlp::new(DIMS, &mut rng).expect("backbone"),
+        1.0,
+    ))
+    .into_precision(Precision::Int8)
+    .expect("quantize");
     let rows: Vec<Vec<f32>> = (0..BATCH)
         .map(|_| (0..DIMS[0]).map(|_| rng.normal()).collect())
         .collect();

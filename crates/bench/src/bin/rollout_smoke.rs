@@ -56,7 +56,7 @@ fn regress(base: &EdgeBundle) -> EdgeBundle {
     let mut rng = SeededRng::new(99);
     let samples: Vec<Vec<Vec<f32>>> = labels
         .iter()
-        .map(|l| base.support_set.samples(l).unwrap().to_vec())
+        .map(|l| base.support_set.samples(l).unwrap())
         .collect();
     for (i, label) in labels.iter().enumerate() {
         let rotated = &samples[(i + 1) % samples.len()];

@@ -30,7 +30,7 @@ use crate::version::{Fnv64, Lineage, ModelVersion};
 use crate::Result;
 use bytes::{Buf, Bytes};
 use magneto_dsp::PreprocessingPipeline;
-use magneto_nn::quantize::{QuantizedMlp, QuantizedSiamese};
+use magneto_nn::quantize::QuantizedMlp;
 use magneto_nn::serialize::{decode_mlp, encode_mlp};
 use magneto_nn::SiameseNetwork;
 use serde::{Deserialize, Serialize};
@@ -123,9 +123,9 @@ impl EdgeBundle {
             (ResidentModel::F32(net), true) => QuantizedMlp::quantize(net.backbone())
                 .expect("a constructed backbone has no degenerate layers")
                 .to_bytes(),
-            (ResidentModel::Int8(q), true) => q.backbone().to_bytes(),
-            (ResidentModel::Int8(q), false) => encode_mlp(
-                &q.backbone()
+            (ResidentModel::Int8 { backbone, .. }, true) => backbone.to_bytes(),
+            (ResidentModel::Int8 { backbone, .. }, false) => encode_mlp(
+                &backbone
                     .dequantize()
                     .expect("a constructed quantized backbone is consistent"),
             ),
@@ -229,10 +229,10 @@ impl EdgeBundle {
                 decode_mlp(&model_bytes)?,
                 envelope.margin,
             )),
-            FORMAT_QUANTIZED => ResidentModel::Int8(QuantizedSiamese::from_parts(
-                QuantizedMlp::from_bytes(&model_bytes)?,
-                envelope.margin,
-            )),
+            FORMAT_QUANTIZED => ResidentModel::Int8 {
+                backbone: QuantizedMlp::from_bytes(&model_bytes)?,
+                margin: envelope.margin,
+            },
             other => {
                 return Err(CoreError::InvalidBundle(format!(
                     "unknown model format {other}"

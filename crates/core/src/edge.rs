@@ -16,7 +16,7 @@ use crate::inference::{
     infer_window, infer_windows, InferenceView, LatencyRecorder, LatencyStats, Prediction,
     SmoothedPrediction, StreamingSession,
 };
-use crate::precision::{Precision, QuantizedSupportSet, ResidentSupport};
+use crate::precision::Precision;
 use crate::privacy::PrivacyLedger;
 use crate::recalibrate::{HealingStats, Recalibrator, SelfHealingConfig};
 use crate::version::{Lineage, ModelVersion};
@@ -136,18 +136,11 @@ impl EdgeDevice {
         bundle.validate()?;
         let mut ledger = PrivacyLedger::edge_only();
         ledger.record_download(bundle.total_bytes(), "edge bundle (pipeline+model+support)");
-        // Convert to the policy precision before assembly: an int8 deploy
-        // keeps quantised weights AND a quantised support set resident
-        // (a quantised bundle model passes through untouched).
-        let model = bundle.model.into_precision(config.precision)?;
-        let support: ResidentSupport = match config.precision {
-            Precision::F32 => bundle.support_set.into(),
-            Precision::Int8 => QuantizedSupportSet::quantize(&bundle.support_set).into(),
-        };
-        let state = ModelState::assemble(
-            model,
-            support,
+        let state = ModelState::deploy(
+            bundle.model,
+            &bundle.support_set,
             bundle.registry,
+            config.precision,
             config.incremental.metric,
         )?;
         // The streaming session's entry guard repairs with the same
@@ -606,11 +599,7 @@ impl EdgeDevice {
         EdgeBundle {
             pipeline: self.pipeline.clone(),
             model: self.state.model.clone(),
-            support_set: self
-                .state
-                .support_set
-                .to_f32()
-                .expect("resident support set is non-empty by construction"),
+            support_set: self.state.support_set.to_precision(Precision::F32),
             registry: self.state.registry.clone(),
             lineage: self.lineage,
         }

@@ -19,10 +19,11 @@ use crate::embed::BatchEmbedder;
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
 use crate::ncm::NcmClassifier;
-use crate::precision::{Precision, ResidentModel, ResidentSupport};
+use crate::precision::{Precision, ResidentModel};
+use crate::support_set::SupportSet;
 use crate::Result;
 use magneto_nn::trainer::{train_siamese_masked, TrainerConfig, TrainingReport};
-use magneto_nn::{Mlp, QuantizedSiamese};
+use magneto_nn::Mlp;
 use magneto_tensor::vector::DistanceMetric;
 use magneto_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -275,7 +276,7 @@ pub struct ModelState {
     /// The embedding model at its resident precision.
     pub model: ResidentModel,
     /// Budgeted exemplar store at its resident precision.
-    pub support_set: ResidentSupport,
+    pub support_set: SupportSet,
     /// Class registry.
     pub registry: LabelRegistry,
     /// NCM classifier over current prototypes.
@@ -293,12 +294,11 @@ impl ModelState {
     /// Propagates embedding/classifier construction failures.
     pub fn assemble(
         model: impl Into<ResidentModel>,
-        support_set: impl Into<ResidentSupport>,
+        support_set: SupportSet,
         registry: LabelRegistry,
         metric: DistanceMetric,
     ) -> Result<Self> {
         let model = model.into();
-        let support_set = support_set.into();
         let ncm = build_ncm(&model, &support_set, metric)?;
         Ok(ModelState {
             model,
@@ -307,6 +307,32 @@ impl ModelState {
             ncm,
             teacher_buf: TeacherBuf::default(),
         })
+    }
+
+    /// Assemble the state a bundle deploys to at `precision`: the model
+    /// and the support set are converted first (an int8 deploy keeps
+    /// quantised weights *and* quantised exemplars resident; a model
+    /// already at `precision` passes through untouched), then
+    /// prototypes are built through the converted model. Devices and
+    /// the fleet's shared bases both deploy through here, so an empty
+    /// delta serves exactly like a device from the same bundle.
+    ///
+    /// # Errors
+    /// Degenerate weights on quantise; embedding/classifier
+    /// construction failures.
+    pub fn deploy(
+        model: ResidentModel,
+        support_set: &SupportSet,
+        registry: LabelRegistry,
+        precision: Precision,
+        metric: DistanceMetric,
+    ) -> Result<Self> {
+        ModelState::assemble(
+            model.into_precision(precision)?,
+            support_set.to_precision(precision),
+            registry,
+            metric,
+        )
     }
 
     /// Recompute every class prototype in the current embedding space.
@@ -334,13 +360,13 @@ impl ModelState {
         let mut embeddings = Matrix::default();
         let mut attached = 0;
         for label in self.support_set.classes() {
-            if self.ncm.prototype(&label).is_none() {
+            if self.ncm.prototype(label).is_none() {
                 continue;
             }
             self.support_set
-                .class_features_into(&label, embedder.staging())?;
+                .class_features_into(label, embedder.staging())?;
             embedder.embed_staged(&self.model, &mut embeddings)?;
-            self.ncm.set_class_exemplars(&label, &embeddings)?;
+            self.ncm.set_class_exemplars(label, &embeddings)?;
             attached += embeddings.rows();
         }
         Ok(attached)
@@ -367,7 +393,7 @@ impl ModelState {
         let mut embedder = BatchEmbedder::new();
         let mut embeddings = Matrix::default();
         for label in self.support_set.classes() {
-            let Some(proto) = self.ncm.prototype(&label).map(<[f32]>::to_vec) else {
+            let Some(proto) = self.ncm.prototype(label).map(<[f32]>::to_vec) else {
                 continue;
             };
             // One batched forward per class; the embedder's staging matrix
@@ -375,7 +401,7 @@ impl ModelState {
             // measured through the resident model, so an int8 device
             // calibrates its threshold in the int8 embedding space.
             self.support_set
-                .class_features_into(&label, embedder.staging())?;
+                .class_features_into(label, embedder.staging())?;
             embedder.embed_staged(&self.model, &mut embeddings)?;
             for r in 0..embeddings.rows() {
                 dists.push(self.ncm.metric().eval(embeddings.row(r), &proto));
@@ -501,8 +527,7 @@ impl ModelState {
             let ResidentModel::F32(net) = &self.model else {
                 unreachable!("training model is f32 until commit")
             };
-            self.model =
-                ResidentModel::Int8(QuantizedSiamese::quantize(net).map_err(CoreError::Nn)?);
+            self.model = ResidentModel::quantize(net)?;
         }
 
         // Prototypes move with the embedding space.
@@ -576,7 +601,7 @@ impl ModelState {
     fn validate_update(
         &self,
         report: &UpdateReport,
-        pre_support: &ResidentSupport,
+        pre_support: &SupportSet,
         target: &str,
         validation: &ValidationConfig,
     ) -> Result<Option<RollbackReason>> {
@@ -616,7 +641,7 @@ impl ModelState {
                 if label == target {
                     continue;
                 }
-                pre_support.class_features_into(&label, embedder.staging())?;
+                pre_support.class_features_into(label, embedder.staging())?;
                 embedder.embed_staged(&self.model, &mut embeddings)?;
                 for r in 0..embeddings.rows() {
                     if self.ncm.classify(embeddings.row(r))?.label == label {
@@ -647,7 +672,7 @@ impl ModelState {
 /// shared space.
 fn build_ncm(
     model: &ResidentModel,
-    support_set: &ResidentSupport,
+    support_set: &SupportSet,
     metric: DistanceMetric,
 ) -> Result<NcmClassifier> {
     let mut prototypes = Vec::with_capacity(support_set.num_classes());
@@ -657,10 +682,10 @@ fn build_ncm(
         // All of a class's exemplars go through the backbone as one
         // (n_exemplars, 80) batch, with staging/scratch buffers shared
         // across classes.
-        support_set.class_features_into(&label, embedder.staging())?;
+        support_set.class_features_into(label, embedder.staging())?;
         embedder.embed_staged(model, &mut embeddings)?;
         let prototype = embeddings.mean_rows()?;
-        prototypes.push((label, prototype));
+        prototypes.push((label.to_string(), prototype));
     }
     NcmClassifier::new(metric, prototypes)
 }
@@ -668,8 +693,7 @@ fn build_ncm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precision::QuantizedSupportSet;
-    use crate::support_set::{SelectionStrategy, SupportSet};
+    use crate::support_set::SelectionStrategy;
     use magneto_nn::SiameseNetwork;
 
     /// Features for class `c`: a Gaussian blob around distinct corners.
@@ -782,13 +806,18 @@ mod tests {
         assert!(acc >= 0.8, "old-class accuracy after update: {acc}");
     }
 
-    /// `base_state` re-assembled at int8: quantised model + quantised
+    /// `base_state` deployed at int8: quantised model + quantised
     /// support exemplars, prototypes built through the int8 forward path.
     fn int8_state(seed: u64) -> ModelState {
         let base = base_state(seed);
-        let model = base.model.into_precision(Precision::Int8).unwrap();
-        let support = QuantizedSupportSet::quantize(&base.support_set.to_f32().unwrap());
-        ModelState::assemble(model, support, base.registry, DistanceMetric::Euclidean).unwrap()
+        ModelState::deploy(
+            base.model,
+            &base.support_set,
+            base.registry,
+            Precision::Int8,
+            DistanceMetric::Euclidean,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -800,12 +829,12 @@ mod tests {
         for label in state.support_set.classes() {
             state
                 .support_set
-                .class_features_into(&label, embedder.staging())
+                .class_features_into(label, embedder.staging())
                 .unwrap();
             embedder.embed_staged(&state.model, &mut embeddings).unwrap();
             let expected = embeddings.mean_rows().unwrap();
             assert_eq!(
-                state.ncm.prototype(&label).unwrap(),
+                state.ncm.prototype(label).unwrap(),
                 expected.as_slice(),
                 "prototype for `{label}` must be the int8-model mean"
             );

@@ -4,11 +4,12 @@
 //! The paper ships a < 5 MB bundle to the Edge (§4.2) and the earlier
 //! PRs already *stored* the backbone as int8 — but deploy always
 //! rehydrated to f32, so the resident footprint was the full f32 model
-//! again. This module closes that gap: [`ResidentModel`] and
-//! [`ResidentSupport`] keep whatever the deploy policy chose — f32 or
-//! int8 — resident, and every consumer (batch embedder, NCM prototype
+//! again. [`ResidentModel`] keeps whatever the deploy policy chose — f32
+//! or int8 — resident, and every consumer (batch embedder, NCM prototype
 //! construction, streaming inference, the fleet scheduler) works against
-//! them instead of a concrete network type.
+//! it instead of a concrete network type. The support set needs no
+//! wrapper: a [`crate::SupportSet`] stores its rows at either precision
+//! itself ([`crate::SupportSet::to_precision`]).
 //!
 //! Design rules:
 //!
@@ -22,13 +23,10 @@
 //!   re-quantise on commit (see `ModelState::update`).
 
 use crate::error::CoreError;
-use crate::label::LabelRegistry;
-use crate::support_set::{SelectionStrategy, SupportSet};
 use crate::Result;
-use magneto_nn::{QuantizedSiamese, SiameseNetwork};
-use magneto_tensor::{Matrix, SeededRng, Workspace};
+use magneto_nn::{QuantizedMlp, SiameseNetwork};
+use magneto_tensor::{Matrix, Workspace};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 pub use magneto_tensor::Precision;
 
@@ -43,7 +41,12 @@ pub enum ResidentModel {
     F32(SiameseNetwork),
     /// Int8 weights with per-output-channel scales; inference runs on
     /// the i8×i8→i32 kernels directly.
-    Int8(QuantizedSiamese),
+    Int8 {
+        /// The quantised backbone.
+        backbone: QuantizedMlp,
+        /// Contrastive margin carried through quantisation.
+        margin: f32,
+    },
 }
 
 impl From<SiameseNetwork> for ResidentModel {
@@ -52,18 +55,23 @@ impl From<SiameseNetwork> for ResidentModel {
     }
 }
 
-impl From<QuantizedSiamese> for ResidentModel {
-    fn from(net: QuantizedSiamese) -> Self {
-        ResidentModel::Int8(net)
-    }
-}
-
 impl ResidentModel {
+    /// Quantise an f32 network into the `Int8` arm, keeping its margin.
+    ///
+    /// # Errors
+    /// [`CoreError::Nn`] only on a degenerate layer.
+    pub fn quantize(net: &SiameseNetwork) -> Result<Self> {
+        Ok(ResidentModel::Int8 {
+            backbone: QuantizedMlp::quantize(net.backbone()).map_err(CoreError::Nn)?,
+            margin: net.margin,
+        })
+    }
+
     /// The precision this model executes at.
     pub fn precision(&self) -> Precision {
         match self {
             ResidentModel::F32(_) => Precision::F32,
-            ResidentModel::Int8(_) => Precision::Int8,
+            ResidentModel::Int8 { .. } => Precision::Int8,
         }
     }
 
@@ -71,15 +79,15 @@ impl ResidentModel {
     pub fn margin(&self) -> f32 {
         match self {
             ResidentModel::F32(n) => n.margin,
-            ResidentModel::Int8(q) => q.margin,
+            ResidentModel::Int8 { margin, .. } => *margin,
         }
     }
 
     /// Set the contrastive margin.
-    pub fn set_margin(&mut self, margin: f32) {
+    pub fn set_margin(&mut self, value: f32) {
         match self {
-            ResidentModel::F32(n) => n.margin = margin,
-            ResidentModel::Int8(q) => q.margin = margin,
+            ResidentModel::F32(n) => n.margin = value,
+            ResidentModel::Int8 { margin, .. } => *margin = value,
         }
     }
 
@@ -87,7 +95,7 @@ impl ResidentModel {
     pub fn dims(&self) -> Vec<usize> {
         match self {
             ResidentModel::F32(n) => n.backbone().dims(),
-            ResidentModel::Int8(q) => q.backbone().dims(),
+            ResidentModel::Int8 { backbone, .. } => backbone.dims(),
         }
     }
 
@@ -95,7 +103,7 @@ impl ResidentModel {
     pub fn input_dim(&self) -> usize {
         match self {
             ResidentModel::F32(n) => n.backbone().input_dim(),
-            ResidentModel::Int8(q) => q.backbone().input_dim(),
+            ResidentModel::Int8 { backbone, .. } => backbone.input_dim(),
         }
     }
 
@@ -103,7 +111,7 @@ impl ResidentModel {
     pub fn output_dim(&self) -> usize {
         match self {
             ResidentModel::F32(n) => n.backbone().output_dim(),
-            ResidentModel::Int8(q) => q.backbone().output_dim(),
+            ResidentModel::Int8 { backbone, .. } => backbone.output_dim(),
         }
     }
 
@@ -111,7 +119,7 @@ impl ResidentModel {
     pub fn param_count(&self) -> usize {
         match self {
             ResidentModel::F32(n) => n.backbone().param_count(),
-            ResidentModel::Int8(q) => q.backbone().param_count(),
+            ResidentModel::Int8 { backbone, .. } => backbone.param_count(),
         }
     }
 
@@ -119,7 +127,7 @@ impl ResidentModel {
     pub fn resident_bytes(&self) -> usize {
         match self {
             ResidentModel::F32(n) => n.backbone().param_bytes(),
-            ResidentModel::Int8(q) => q.stored_bytes(),
+            ResidentModel::Int8 { backbone, .. } => backbone.stored_bytes(),
         }
     }
 
@@ -129,9 +137,10 @@ impl ResidentModel {
     /// Shape mismatch on malformed input.
     pub fn embed(&self, features: &Matrix) -> Result<Matrix> {
         match self {
-            ResidentModel::F32(n) => n.embed(features).map_err(CoreError::Nn),
-            ResidentModel::Int8(q) => q.embed(features).map_err(CoreError::Nn),
+            ResidentModel::F32(n) => n.embed(features),
+            ResidentModel::Int8 { backbone, .. } => backbone.forward(features),
         }
+        .map_err(CoreError::Nn)
     }
 
     /// Embed a batch into a caller-owned output, drawing scratch from
@@ -141,9 +150,10 @@ impl ResidentModel {
     /// Shape mismatch on malformed input.
     pub fn embed_into(&self, features: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
         match self {
-            ResidentModel::F32(n) => n.embed_into(features, out, ws).map_err(CoreError::Nn),
-            ResidentModel::Int8(q) => q.embed_into(features, out, ws).map_err(CoreError::Nn),
+            ResidentModel::F32(n) => n.embed_into(features, out, ws),
+            ResidentModel::Int8 { backbone, .. } => backbone.forward_into(features, out, ws),
         }
+        .map_err(CoreError::Nn)
     }
 
     /// Embed one feature vector.
@@ -152,9 +162,10 @@ impl ResidentModel {
     /// Shape mismatch on malformed input.
     pub fn embed_one(&self, features: &[f32]) -> Result<Vec<f32>> {
         match self {
-            ResidentModel::F32(n) => n.embed_one(features).map_err(CoreError::Nn),
-            ResidentModel::Int8(q) => q.embed_one(features).map_err(CoreError::Nn),
+            ResidentModel::F32(n) => n.embed_one(features),
+            ResidentModel::Int8 { backbone, .. } => backbone.embed_one(features),
         }
+        .map_err(CoreError::Nn)
     }
 
     /// An f32 copy of the network: identity for the `F32` arm, a lossy
@@ -165,7 +176,10 @@ impl ResidentModel {
     pub fn to_f32(&self) -> Result<SiameseNetwork> {
         match self {
             ResidentModel::F32(n) => Ok(n.clone()),
-            ResidentModel::Int8(q) => q.dequantize().map_err(CoreError::Nn),
+            ResidentModel::Int8 { backbone, margin } => Ok(SiameseNetwork::new(
+                backbone.dequantize().map_err(CoreError::Nn)?,
+                *margin,
+            )),
         }
     }
 
@@ -175,7 +189,9 @@ impl ResidentModel {
     pub fn all_finite(&self) -> bool {
         match self {
             ResidentModel::F32(n) => n.margin.is_finite() && n.backbone().all_finite(),
-            ResidentModel::Int8(q) => q.all_finite(),
+            ResidentModel::Int8 { backbone, margin } => {
+                margin.is_finite() && backbone.all_finite()
+            }
         }
     }
 
@@ -187,380 +203,11 @@ impl ResidentModel {
     /// dequantise.
     pub fn into_precision(self, precision: Precision) -> Result<Self> {
         match (self, precision) {
-            (ResidentModel::F32(n), Precision::Int8) => Ok(ResidentModel::Int8(
-                QuantizedSiamese::quantize(&n).map_err(CoreError::Nn)?,
-            )),
-            (ResidentModel::Int8(q), Precision::F32) => {
-                Ok(ResidentModel::F32(q.dequantize().map_err(CoreError::Nn)?))
+            (ResidentModel::F32(n), Precision::Int8) => ResidentModel::quantize(&n),
+            (int8 @ ResidentModel::Int8 { .. }, Precision::F32) => {
+                Ok(ResidentModel::F32(int8.to_f32()?))
             }
             (same, _) => Ok(same),
-        }
-    }
-}
-
-/// One class's exemplars quantised to int8, one symmetric scale per row.
-///
-/// Per-row scales (rather than one per class) keep the dequantisation
-/// error of each exemplar bounded by half an int8 step of *its own*
-/// magnitude, so an outlier row cannot wash out the resolution of the
-/// others.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct QuantClass {
-    dim: usize,
-    /// Row-major `n × dim` int8 payload.
-    data: Vec<i8>,
-    /// One scale per row.
-    scales: Vec<f32>,
-}
-
-impl QuantClass {
-    fn quantize_rows(rows: &[Vec<f32>], dim: usize) -> Self {
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        let mut scales = Vec::with_capacity(rows.len());
-        for row in rows {
-            let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-            scales.push(scale);
-            data.extend(row.iter().map(|&v| {
-                let q = (v / scale).round();
-                q.clamp(-127.0, 127.0) as i8
-            }));
-        }
-        QuantClass { dim, data, scales }
-    }
-
-    fn len(&self) -> usize {
-        self.scales.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
-    }
-
-    fn dequantize_row_into(&self, row: usize, out: &mut [f32]) {
-        let scale = self.scales[row];
-        let src = &self.data[row * self.dim..(row + 1) * self.dim];
-        for (o, &q) in out.iter_mut().zip(src.iter()) {
-            *o = f32::from(q) * scale;
-        }
-    }
-
-    fn dequantize_rows(&self) -> Vec<Vec<f32>> {
-        (0..self.len())
-            .map(|r| {
-                let mut row = vec![0.0f32; self.dim];
-                self.dequantize_row_into(r, &mut row);
-                row
-            })
-            .collect()
-    }
-}
-
-/// The support set quantised to int8 — the second half of the "no f32
-/// blow-up" budget. Selection semantics (budget, strategy) are retained;
-/// replacing a class routes the candidates through the same f32
-/// selection logic as [`SupportSet`] and quantises the survivors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedSupportSet {
-    budget_per_class: usize,
-    strategy: SelectionStrategy,
-    classes: BTreeMap<String, QuantClass>,
-}
-
-impl QuantizedSupportSet {
-    /// Quantise every class of an f32 support set.
-    pub fn quantize(set: &SupportSet) -> Self {
-        let mut classes = BTreeMap::new();
-        for label in set.classes() {
-            let rows = set.samples(label).unwrap_or(&[]);
-            let dim = rows.first().map_or(0, Vec::len);
-            classes.insert(label.to_string(), QuantClass::quantize_rows(rows, dim));
-        }
-        QuantizedSupportSet {
-            budget_per_class: set.budget(),
-            strategy: set.strategy(),
-            classes,
-        }
-    }
-
-    /// Reconstruct an f32 support set (lossy round trip through int8).
-    ///
-    /// # Errors
-    /// Never in practice — stored classes are non-empty by construction;
-    /// fallible for uniformity with the selection path.
-    pub fn to_f32(&self) -> Result<SupportSet> {
-        let mut set = SupportSet::new(self.budget_per_class, self.strategy);
-        let mut rng = SeededRng::new(0);
-        for (label, class) in &self.classes {
-            // Stored rows never exceed the budget, so selection is the
-            // identity and the rng is never consulted.
-            set.set_class(label, &class.dequantize_rows(), &mut rng)?;
-        }
-        Ok(set)
-    }
-
-    /// Budget per class.
-    pub fn budget(&self) -> usize {
-        self.budget_per_class
-    }
-
-    /// Active selection strategy.
-    pub fn strategy(&self) -> SelectionStrategy {
-        self.strategy
-    }
-
-    /// Class labels currently stored (sorted).
-    pub fn classes(&self) -> Vec<&str> {
-        self.classes.keys().map(String::as_str).collect()
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Exemplars stored for `label`, dequantised into owned rows.
-    pub fn samples(&self, label: &str) -> Option<Vec<Vec<f32>>> {
-        self.classes.get(label).map(QuantClass::dequantize_rows)
-    }
-
-    /// Total exemplars across classes.
-    pub fn total_samples(&self) -> usize {
-        self.classes.values().map(QuantClass::len).sum()
-    }
-
-    /// Resident bytes: i8 payload plus per-row f32 scales.
-    pub fn bytes(&self) -> usize {
-        self.classes.values().map(QuantClass::bytes).sum()
-    }
-
-    /// Replace the exemplars of a class with a budget-sized selection
-    /// from `samples`, then quantise the selection.
-    ///
-    /// # Errors
-    /// [`CoreError::InsufficientData`] when `samples` is empty.
-    pub fn set_class(
-        &mut self,
-        label: &str,
-        samples: &[Vec<f32>],
-        rng: &mut SeededRng,
-    ) -> Result<()> {
-        // Route through the f32 selection machinery so strategy
-        // semantics (herding, reservoir) are byte-for-byte shared.
-        let mut staging = SupportSet::new(self.budget_per_class, self.strategy);
-        staging.set_class(label, samples, rng)?;
-        let rows = staging.samples(label).expect("just inserted");
-        let dim = rows.first().map_or(0, Vec::len);
-        self.classes
-            .insert(label.to_string(), QuantClass::quantize_rows(rows, dim));
-        Ok(())
-    }
-
-    /// Remove a class entirely.
-    pub fn remove_class(&mut self, label: &str) -> bool {
-        self.classes.remove(label).is_some()
-    }
-
-    /// Stack the (dequantised) exemplars of one class into a
-    /// caller-provided matrix — the staging step for batched prototype
-    /// construction, mirroring [`SupportSet::class_features_into`].
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownClass`] for an unstored label,
-    /// [`CoreError::InsufficientData`] for a class with no exemplars.
-    pub fn class_features_into(&self, label: &str, out: &mut Matrix) -> Result<()> {
-        let class = self
-            .classes
-            .get(label)
-            .ok_or_else(|| CoreError::UnknownClass(label.to_string()))?;
-        if class.len() == 0 {
-            return Err(CoreError::InsufficientData(format!(
-                "class `{label}` is empty"
-            )));
-        }
-        out.resize(class.len(), class.dim);
-        for r in 0..class.len() {
-            class.dequantize_row_into(r, out.row_mut(r));
-        }
-        Ok(())
-    }
-
-    /// Flatten into a training `(features, labels)` pair using `registry`
-    /// ids, dequantising rows on the way out.
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownClass`] if a stored class is missing from the
-    /// registry, [`CoreError::InsufficientData`] on an empty store.
-    pub fn training_data(&self, registry: &LabelRegistry) -> Result<(Matrix, Vec<usize>)> {
-        let total = self.total_samples();
-        let dim = self
-            .classes
-            .values()
-            .find(|c| c.len() > 0)
-            .map(|c| c.dim)
-            .ok_or_else(|| CoreError::InsufficientData("support set is empty".into()))?;
-        let mut features = Matrix::default();
-        features.resize(total, dim);
-        let mut labels = Vec::with_capacity(total);
-        let mut r = 0;
-        for (label, class) in &self.classes {
-            let id = registry
-                .id_of(label)
-                .ok_or_else(|| CoreError::UnknownClass(label.clone()))?;
-            for row in 0..class.len() {
-                class.dequantize_row_into(row, features.row_mut(r));
-                labels.push(id);
-                r += 1;
-            }
-        }
-        Ok((features, labels))
-    }
-}
-
-/// The device-resident support set at its deployed precision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ResidentSupport {
-    /// Full-precision exemplars (the pre-refactor behaviour).
-    F32(SupportSet),
-    /// Int8 exemplars with per-row scales.
-    Int8(QuantizedSupportSet),
-}
-
-impl From<SupportSet> for ResidentSupport {
-    fn from(set: SupportSet) -> Self {
-        ResidentSupport::F32(set)
-    }
-}
-
-impl From<QuantizedSupportSet> for ResidentSupport {
-    fn from(set: QuantizedSupportSet) -> Self {
-        ResidentSupport::Int8(set)
-    }
-}
-
-impl ResidentSupport {
-    /// The precision exemplars are stored at.
-    pub fn precision(&self) -> Precision {
-        match self {
-            ResidentSupport::F32(_) => Precision::F32,
-            ResidentSupport::Int8(_) => Precision::Int8,
-        }
-    }
-
-    /// Budget per class.
-    pub fn budget(&self) -> usize {
-        match self {
-            ResidentSupport::F32(s) => s.budget(),
-            ResidentSupport::Int8(s) => s.budget(),
-        }
-    }
-
-    /// Active selection strategy.
-    pub fn strategy(&self) -> SelectionStrategy {
-        match self {
-            ResidentSupport::F32(s) => s.strategy(),
-            ResidentSupport::Int8(s) => s.strategy(),
-        }
-    }
-
-    /// Class labels currently stored (sorted).
-    pub fn classes(&self) -> Vec<String> {
-        match self {
-            ResidentSupport::F32(s) => s.classes().into_iter().map(str::to_string).collect(),
-            ResidentSupport::Int8(s) => s.classes().into_iter().map(str::to_string).collect(),
-        }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        match self {
-            ResidentSupport::F32(s) => s.num_classes(),
-            ResidentSupport::Int8(s) => s.num_classes(),
-        }
-    }
-
-    /// Exemplars stored for `label` as owned f32 rows (dequantised for
-    /// the `Int8` arm).
-    pub fn samples(&self, label: &str) -> Option<Vec<Vec<f32>>> {
-        match self {
-            ResidentSupport::F32(s) => s.samples(label).map(<[Vec<f32>]>::to_vec),
-            ResidentSupport::Int8(s) => s.samples(label),
-        }
-    }
-
-    /// Total exemplars across classes.
-    pub fn total_samples(&self) -> usize {
-        match self {
-            ResidentSupport::F32(s) => s.total_samples(),
-            ResidentSupport::Int8(s) => s.total_samples(),
-        }
-    }
-
-    /// Resident bytes at the stored precision.
-    pub fn bytes(&self) -> usize {
-        match self {
-            ResidentSupport::F32(s) => s.bytes(),
-            ResidentSupport::Int8(s) => s.bytes(),
-        }
-    }
-
-    /// Replace the exemplars of a class with a budget-sized selection.
-    ///
-    /// # Errors
-    /// [`CoreError::InsufficientData`] when `samples` is empty.
-    pub fn set_class(
-        &mut self,
-        label: &str,
-        samples: &[Vec<f32>],
-        rng: &mut SeededRng,
-    ) -> Result<()> {
-        match self {
-            ResidentSupport::F32(s) => s.set_class(label, samples, rng),
-            ResidentSupport::Int8(s) => s.set_class(label, samples, rng),
-        }
-    }
-
-    /// Remove a class entirely.
-    pub fn remove_class(&mut self, label: &str) -> bool {
-        match self {
-            ResidentSupport::F32(s) => s.remove_class(label),
-            ResidentSupport::Int8(s) => s.remove_class(label),
-        }
-    }
-
-    /// Stack one class's exemplars into a caller-provided matrix.
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownClass`] / [`CoreError::InsufficientData`] as
-    /// the underlying store reports.
-    pub fn class_features_into(&self, label: &str, out: &mut Matrix) -> Result<()> {
-        match self {
-            ResidentSupport::F32(s) => s.class_features_into(label, out),
-            ResidentSupport::Int8(s) => s.class_features_into(label, out),
-        }
-    }
-
-    /// Flatten into a training `(features, labels)` pair (always f32 —
-    /// training consumes full-precision features).
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownClass`] / [`CoreError::InsufficientData`] as
-    /// the underlying store reports.
-    pub fn training_data(&self, registry: &LabelRegistry) -> Result<(Matrix, Vec<usize>)> {
-        match self {
-            ResidentSupport::F32(s) => s.training_data(registry),
-            ResidentSupport::Int8(s) => s.training_data(registry),
-        }
-    }
-
-    /// An f32 copy of the store: identity for `F32`, lossy for `Int8`.
-    ///
-    /// # Errors
-    /// Never in practice; fallible for uniformity.
-    pub fn to_f32(&self) -> Result<SupportSet> {
-        match self {
-            ResidentSupport::F32(s) => Ok(s.clone()),
-            ResidentSupport::Int8(s) => s.to_f32(),
         }
     }
 }
@@ -569,16 +216,10 @@ impl ResidentSupport {
 mod tests {
     use super::*;
     use magneto_nn::Mlp;
+    use magneto_tensor::SeededRng;
 
     fn small_net(seed: u64) -> SiameseNetwork {
         SiameseNetwork::new(Mlp::new(&[8, 16, 4], &mut SeededRng::new(seed)).unwrap(), 1.5)
-    }
-
-    fn sample_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = SeededRng::new(seed);
-        (0..n)
-            .map(|_| (0..dim).map(|_| rng.normal_with(0.0, 1.0)).collect())
-            .collect()
     }
 
     #[test]
@@ -641,104 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_support_round_trip_error_bounded() {
-        let mut rng = SeededRng::new(5);
-        let mut set = SupportSet::new(16, SelectionStrategy::Herding);
-        set.set_class("walk", &sample_rows(12, 8, 6), &mut rng).unwrap();
-        set.set_class("run", &sample_rows(10, 8, 7), &mut rng).unwrap();
-        let q = QuantizedSupportSet::quantize(&set);
-        assert_eq!(q.num_classes(), 2);
-        assert_eq!(q.total_samples(), set.total_samples());
-        assert_eq!(q.budget(), 16);
-        assert_eq!(q.strategy(), SelectionStrategy::Herding);
-        for label in ["walk", "run"] {
-            let orig = set.samples(label).unwrap();
-            let back = q.samples(label).unwrap();
-            assert_eq!(orig.len(), back.len());
-            for (o, b) in orig.iter().zip(back.iter()) {
-                let max_abs = o.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let step = max_abs / 127.0;
-                for (x, y) in o.iter().zip(b.iter()) {
-                    assert!((x - y).abs() <= step * 0.5 + 1e-7);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_support_is_roughly_quarter_size() {
-        let mut rng = SeededRng::new(8);
-        let mut set = SupportSet::new(32, SelectionStrategy::Random);
-        for label in ["a", "b", "c"] {
-            set.set_class(label, &sample_rows(32, 80, 9), &mut rng).unwrap();
-        }
-        let q = QuantizedSupportSet::quantize(&set);
-        let ratio = q.bytes() as f64 / set.bytes() as f64;
-        assert!(ratio < 0.30, "quantised support ratio {ratio:.3}");
-    }
-
-    #[test]
-    fn quantized_support_set_class_and_training_data() {
-        let mut rng = SeededRng::new(10);
-        let mut q = QuantizedSupportSet::quantize(&SupportSet::new(
-            8,
-            SelectionStrategy::Herding,
-        ));
-        q.set_class("walk", &sample_rows(20, 6, 11), &mut rng).unwrap();
-        q.set_class("run", &sample_rows(4, 6, 12), &mut rng).unwrap();
-        assert_eq!(q.samples("walk").unwrap().len(), 8, "budget enforced");
-        assert_eq!(q.samples("run").unwrap().len(), 4);
-        assert!(q.set_class("x", &[], &mut rng).is_err());
-
-        let registry = LabelRegistry::from_labels(["run", "walk"]);
-        let (features, labels) = q.training_data(&registry).unwrap();
-        assert_eq!(features.shape(), (12, 6));
-        assert_eq!(labels.len(), 12);
-
-        let mut staged = Matrix::default();
-        q.class_features_into("walk", &mut staged).unwrap();
-        assert_eq!(staged.shape(), (8, 6));
-        assert!(q.class_features_into("missing", &mut staged).is_err());
-
-        assert!(q.remove_class("run"));
-        assert!(!q.remove_class("run"));
-        assert!(q.samples("run").is_none());
-    }
-
-    #[test]
-    fn resident_support_delegates_to_both_arms() {
-        let mut rng = SeededRng::new(13);
-        let mut set = SupportSet::new(8, SelectionStrategy::Random);
-        set.set_class("walk", &sample_rows(6, 5, 14), &mut rng).unwrap();
-
-        let f32_arm = ResidentSupport::from(set.clone());
-        let int8_arm = ResidentSupport::from(QuantizedSupportSet::quantize(&set));
-        assert_eq!(f32_arm.precision(), Precision::F32);
-        assert_eq!(int8_arm.precision(), Precision::Int8);
-        for arm in [&f32_arm, &int8_arm] {
-            assert_eq!(arm.classes(), vec!["walk".to_string()]);
-            assert_eq!(arm.num_classes(), 1);
-            assert_eq!(arm.total_samples(), 6);
-            assert_eq!(arm.budget(), 8);
-            assert_eq!(arm.samples("walk").unwrap().len(), 6);
-        }
-        assert!(int8_arm.bytes() < f32_arm.bytes() / 2);
-        let back = int8_arm.to_f32().unwrap();
-        assert_eq!(back.num_classes(), 1);
-    }
-
-    #[test]
-    fn zero_rows_quantize_without_dividing_by_zero() {
-        let mut rng = SeededRng::new(15);
-        let mut set = SupportSet::new(4, SelectionStrategy::Random);
-        set.set_class("still", &vec![vec![0.0f32; 6]; 3], &mut rng).unwrap();
-        let q = QuantizedSupportSet::quantize(&set);
-        for row in q.samples("still").unwrap() {
-            assert!(row.iter().all(|&v| v == 0.0));
-        }
-    }
-
-    #[test]
     fn serde_roundtrips() {
         let model = ResidentModel::from(small_net(16))
             .into_precision(Precision::Int8)
@@ -746,13 +289,5 @@ mod tests {
         let json = serde_json::to_string(&model).unwrap();
         let back: ResidentModel = serde_json::from_str(&json).unwrap();
         assert_eq!(model, back);
-
-        let mut rng = SeededRng::new(17);
-        let mut set = SupportSet::new(4, SelectionStrategy::Random);
-        set.set_class("walk", &sample_rows(3, 4, 18), &mut rng).unwrap();
-        let support = ResidentSupport::from(QuantizedSupportSet::quantize(&set));
-        let json = serde_json::to_string(&support).unwrap();
-        let back: ResidentSupport = serde_json::from_str(&json).unwrap();
-        assert_eq!(support, back);
     }
 }

@@ -12,12 +12,21 @@
 //! need. Three selection strategies are provided for the A2 ablation:
 //! random sampling, iCaRL-style herding (greedy mean-matching), and
 //! streaming reservoir sampling.
+//!
+//! A set keeps its rows at one [`Precision`]: f32, or int8 with one
+//! symmetric scale per row ([`qdist::quantize_row`]), about a quarter of
+//! the bytes — the int8 deploy policy's support half. Selection always
+//! runs on the f32 candidates and only the kept rows are quantised, so
+//! both precisions keep the same rows. Readers get f32 rows back
+//! (dequantised for int8). The serialized form — the bundle's support
+//! section — is f32 at either precision, so the precision is not part of
+//! it.
 
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
 use crate::Result;
-use magneto_tensor::{vector, Matrix, SeededRng};
-use serde::{Deserialize, Serialize};
+use magneto_tensor::{qdist, vector, Matrix, Precision, SeededRng};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// How exemplars are chosen when a class exceeds its budget.
@@ -34,24 +43,199 @@ pub enum SelectionStrategy {
 }
 
 /// Budgeted per-class feature store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SupportSet {
     budget_per_class: usize,
     strategy: SelectionStrategy,
-    classes: BTreeMap<String, Vec<Vec<f32>>>,
+    /// How rows are stored; the wire form is f32 either way.
+    #[serde(skip)]
+    precision: Precision,
+    classes: BTreeMap<String, ClassRows>,
     /// Streaming counters for reservoir sampling, per class.
     seen: BTreeMap<String, u64>,
 }
 
+/// One class's exemplars at the set's precision.
+#[derive(Debug, Clone, PartialEq)]
+enum ClassRows {
+    F32(Vec<Vec<f32>>),
+    /// Row-major `n × dim` payload with one scale per row, so each row's
+    /// error is bounded by half an int8 step of its *own* magnitude.
+    Int8 {
+        dim: usize,
+        data: Vec<i8>,
+        scales: Vec<f32>,
+    },
+}
+
+impl ClassRows {
+    fn into_precision(self, precision: Precision) -> ClassRows {
+        match (self, precision) {
+            (ClassRows::F32(rows), Precision::Int8) => {
+                let dim = rows.first().map_or(0, Vec::len);
+                let mut data = Vec::with_capacity(rows.len() * dim);
+                let scales = rows
+                    .iter()
+                    .map(|row| qdist::quantize_row(row, &mut data))
+                    .collect();
+                ClassRows::Int8 { dim, data, scales }
+            }
+            (int8 @ ClassRows::Int8 { .. }, Precision::F32) => ClassRows::F32(int8.to_rows()),
+            (same, _) => same,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ClassRows::F32(rows) => rows.len(),
+            ClassRows::Int8 { scales, .. } => scales.len(),
+        }
+    }
+
+    /// Width of the first row, `None` for an empty class.
+    fn width(&self) -> Option<usize> {
+        match self {
+            ClassRows::F32(rows) => rows.first().map(Vec::len),
+            ClassRows::Int8 { dim, scales, .. } => (!scales.is_empty()).then_some(*dim),
+        }
+    }
+
+    /// Width of the first row that is not `dim` wide, if any.
+    fn odd_width(&self, dim: usize) -> Option<usize> {
+        match self {
+            ClassRows::F32(rows) => rows.iter().map(Vec::len).find(|&w| w != dim),
+            ClassRows::Int8 { .. } => self.width().filter(|&w| w != dim),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            ClassRows::F32(rows) => rows.iter().map(|f| f.len() * 4).sum(),
+            ClassRows::Int8 { data, scales, .. } => data.len() + scales.len() * 4,
+        }
+    }
+
+    /// Write row `r` as f32 into `out`, which is as wide as the row.
+    fn row_into(&self, r: usize, out: &mut [f32]) {
+        match self {
+            ClassRows::F32(rows) => out.copy_from_slice(&rows[r]),
+            ClassRows::Int8 { dim, data, scales } => {
+                let src = &data[r * dim..(r + 1) * dim];
+                for (o, &q) in out.iter_mut().zip(src) {
+                    *o = f32::from(q) * scales[r];
+                }
+            }
+        }
+    }
+
+    fn to_rows(&self) -> Vec<Vec<f32>> {
+        match self {
+            ClassRows::F32(rows) => rows.clone(),
+            ClassRows::Int8 { dim, .. } => (0..self.len())
+                .map(|r| {
+                    let mut row = vec![0.0f32; *dim];
+                    self.row_into(r, &mut row);
+                    row
+                })
+                .collect(),
+        }
+    }
+
+    /// Store `row` at index `j`, appending when `j` is one past the end.
+    fn put(&mut self, j: usize, row: Vec<f32>) {
+        match self {
+            ClassRows::F32(rows) if j < rows.len() => rows[j] = row,
+            ClassRows::F32(rows) => rows.push(row),
+            ClassRows::Int8 { dim, data, scales } => {
+                let mut q = Vec::with_capacity(row.len());
+                let scale = qdist::quantize_row(&row, &mut q);
+                if j < scales.len() {
+                    data[j * *dim..(j + 1) * *dim].copy_from_slice(&q);
+                    scales[j] = scale;
+                } else {
+                    *dim = row.len();
+                    data.extend(q);
+                    scales.push(scale);
+                }
+            }
+        }
+    }
+}
+
+/// The wire form: a sequence of f32 rows.
+impl Serialize for ClassRows {
+    fn to_value(&self) -> Value {
+        match self {
+            ClassRows::F32(rows) => rows.to_value(),
+            ClassRows::Int8 { .. } => self.to_rows().to_value(),
+        }
+    }
+}
+
+impl Deserialize for ClassRows {
+    fn from_value(v: &Value) -> serde::Result<Self> {
+        Vec::from_value(v).map(ClassRows::F32)
+    }
+}
+
+/// Field for field the derived form, written from the f32 view of the set.
+impl Serialize for SupportSet {
+    fn to_value(&self) -> Value {
+        if self.precision == Precision::Int8 {
+            return self.to_precision(Precision::F32).to_value();
+        }
+        Value::Map(vec![
+            ("budget_per_class".into(), self.budget_per_class.to_value()),
+            ("strategy".into(), self.strategy.to_value()),
+            ("classes".into(), self.classes.to_value()),
+            ("seen".into(), self.seen.to_value()),
+        ])
+    }
+}
+
 impl SupportSet {
-    /// Create an empty support set. The paper's default budget is 200
+    /// Create an empty f32 support set. The paper's default budget is 200
     /// observations per class.
     pub fn new(budget_per_class: usize, strategy: SelectionStrategy) -> Self {
         SupportSet {
             budget_per_class: budget_per_class.max(1),
             strategy,
+            precision: Precision::F32,
             classes: BTreeMap::new(),
             seen: BTreeMap::new(),
+        }
+    }
+
+    /// The precision rows are stored at.
+    pub fn precision(&self) -> Precision {
+        self.precision
+    }
+
+    /// A copy storing its rows at `precision`: f32 → int8 quantises each
+    /// row, int8 → f32 dequantises, same precision is a plain copy.
+    ///
+    /// The f32 copy of an int8 set records the rows it keeps as `seen`,
+    /// as an int8 device's bundle snapshot always has: its exemplars are
+    /// all that crossed the quantisation.
+    pub fn to_precision(&self, precision: Precision) -> SupportSet {
+        let seen = if self.precision == Precision::Int8 && precision == Precision::F32 {
+            self.classes
+                .iter()
+                .map(|(label, rows)| (label.clone(), rows.len() as u64))
+                .collect()
+        } else {
+            self.seen.clone()
+        };
+        SupportSet {
+            budget_per_class: self.budget_per_class,
+            strategy: self.strategy,
+            precision,
+            classes: self
+                .classes
+                .iter()
+                .map(|(label, rows)| (label.clone(), rows.clone().into_precision(precision)))
+                .collect(),
+            seen,
         }
     }
 
@@ -75,24 +259,21 @@ impl SupportSet {
         self.classes.len()
     }
 
-    /// Exemplars stored for `label`.
-    pub fn samples(&self, label: &str) -> Option<&[Vec<f32>]> {
-        self.classes.get(label).map(Vec::as_slice)
+    /// Exemplars stored for `label`, as f32 rows (dequantised at int8).
+    pub fn samples(&self, label: &str) -> Option<Vec<Vec<f32>>> {
+        self.classes.get(label).map(ClassRows::to_rows)
     }
 
     /// Total exemplars across classes.
     pub fn total_samples(&self) -> usize {
-        self.classes.values().map(Vec::len).sum()
+        self.classes.values().map(ClassRows::len).sum()
     }
 
-    /// Bytes of stored feature data at f32 precision — the quantity the
-    /// paper's "roughly 0.5 MB" estimate refers to.
+    /// Bytes of stored feature data at the stored precision: 4 per f32
+    /// value — the quantity the paper's "roughly 0.5 MB" estimate refers
+    /// to — or 1 per int8 value plus a 4-byte scale per row.
     pub fn bytes(&self) -> usize {
-        self.classes
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|f| f.len() * 4)
-            .sum()
+        self.classes.values().map(ClassRows::bytes).sum()
     }
 
     /// Replace the exemplars of a class with a budget-sized selection from
@@ -113,7 +294,7 @@ impl SupportSet {
                 "no samples for class `{label}`"
             )));
         }
-        let selected = self.select(samples, rng);
+        let selected = ClassRows::F32(self.select(samples, rng)).into_precision(self.precision);
         self.classes.insert(label.to_string(), selected);
         self.seen.insert(label.to_string(), samples.len() as u64);
         Ok(())
@@ -122,16 +303,20 @@ impl SupportSet {
     /// Stream one sample into a class (reservoir semantics regardless of
     /// the configured batch strategy — streaming has no alternative).
     pub fn push_sample(&mut self, label: &str, sample: Vec<f32>, rng: &mut SeededRng) {
-        let entry = self.classes.entry(label.to_string()).or_default();
+        let precision = self.precision;
+        let entry = self
+            .classes
+            .entry(label.to_string())
+            .or_insert_with(|| ClassRows::F32(Vec::new()).into_precision(precision));
         let seen = self.seen.entry(label.to_string()).or_insert(0);
         *seen += 1;
         if entry.len() < self.budget_per_class {
-            entry.push(sample);
+            entry.put(entry.len(), sample);
         } else {
             // Classic reservoir: replace with probability budget/seen.
             let j = rng.index(*seen as usize);
             if j < self.budget_per_class {
-                entry[j] = sample;
+                entry.put(j, sample);
             }
         }
     }
@@ -147,6 +332,7 @@ impl SupportSet {
         self.classes
             .iter()
             .filter_map(|(label, rows)| {
+                let rows = rows.to_rows();
                 let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
                 vector::mean_vector(&refs).map(|m| (label.clone(), m))
             })
@@ -154,7 +340,8 @@ impl SupportSet {
     }
 
     /// Flatten into a training `(features, labels)` pair using `registry`
-    /// ids — mission (ii): the re-training set.
+    /// ids — mission (ii): the re-training set (always f32: training
+    /// consumes full-precision features).
     ///
     /// # Errors
     /// [`CoreError::UnknownClass`] if a stored class is missing from the
@@ -183,26 +370,23 @@ impl SupportSet {
         let dim = self
             .classes
             .values()
-            .flat_map(|v| v.iter())
-            .next()
-            .map(Vec::len)
+            .find_map(ClassRows::width)
             .ok_or_else(|| CoreError::InsufficientData("support set is empty".into()))?;
         features.resize(total, dim);
         labels.clear();
         labels.reserve(total);
         let mut r = 0;
-        for (label, samples) in &self.classes {
+        for (label, rows) in &self.classes {
             let id = registry
                 .id_of(label)
                 .ok_or_else(|| CoreError::UnknownClass(label.clone()))?;
-            for s in samples {
-                if s.len() != dim {
-                    return Err(CoreError::InsufficientData(format!(
-                        "class `{label}` has a {}-dim exemplar, expected {dim}",
-                        s.len()
-                    )));
-                }
-                features.row_mut(r).copy_from_slice(s);
+            if let Some(width) = rows.odd_width(dim) {
+                return Err(CoreError::InsufficientData(format!(
+                    "class `{label}` has a {width}-dim exemplar, expected {dim}"
+                )));
+            }
+            for row in 0..rows.len() {
+                rows.row_into(row, features.row_mut(r));
                 labels.push(id);
                 r += 1;
             }
@@ -217,17 +401,16 @@ impl SupportSet {
     /// [`CoreError::UnknownClass`] for an unstored label,
     /// [`CoreError::InsufficientData`] for a class with no exemplars.
     pub fn class_features_into(&self, label: &str, out: &mut Matrix) -> Result<()> {
-        let samples = self
+        let rows = self
             .classes
             .get(label)
             .ok_or_else(|| CoreError::UnknownClass(label.to_string()))?;
-        let dim = samples
-            .first()
-            .map(Vec::len)
+        let dim = rows
+            .width()
             .ok_or_else(|| CoreError::InsufficientData(format!("class `{label}` is empty")))?;
-        out.resize(samples.len(), dim);
-        for (i, s) in samples.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(s);
+        out.resize(rows.len(), dim);
+        for r in 0..rows.len() {
+            rows.row_into(r, out.row_mut(r));
         }
         Ok(())
     }
@@ -292,6 +475,13 @@ fn herding_select(samples: &[Vec<f32>], budget: usize) -> Vec<Vec<f32>> {
 mod tests {
     use super::*;
 
+    const BOTH: [Precision; 2] = [Precision::F32, Precision::Int8];
+    const STRATEGIES: [SelectionStrategy; 3] = [
+        SelectionStrategy::Random,
+        SelectionStrategy::Herding,
+        SelectionStrategy::Reservoir,
+    ];
+
     fn gaussian_samples(n: usize, dim: usize, center: f32, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = SeededRng::new(seed);
         (0..n)
@@ -299,18 +489,29 @@ mod tests {
             .collect()
     }
 
+    /// Each row of `back` is within half an int8 step (of the matching
+    /// `orig` row's own magnitude) of that row.
+    fn assert_within_half_step(orig: &[Vec<f32>], back: &[Vec<f32>]) {
+        assert_eq!(orig.len(), back.len());
+        for (o, b) in orig.iter().zip(back) {
+            let step = o.iter().fold(0.0f32, |m, v| m.max(v.abs())) / 127.0;
+            for (x, y) in o.iter().zip(b) {
+                assert!((x - y).abs() <= step * 0.5 + 1e-7, "{x} vs {y}");
+            }
+        }
+    }
+
     #[test]
     fn budget_is_enforced() {
         let mut rng = SeededRng::new(1);
-        for strategy in [
-            SelectionStrategy::Random,
-            SelectionStrategy::Herding,
-            SelectionStrategy::Reservoir,
-        ] {
-            let mut ss = SupportSet::new(10, strategy);
-            ss.set_class("walk", &gaussian_samples(50, 4, 0.0, 2), &mut rng)
-                .unwrap();
-            assert_eq!(ss.samples("walk").unwrap().len(), 10, "{strategy:?}");
+        for precision in BOTH {
+            for strategy in STRATEGIES {
+                let mut ss = SupportSet::new(10, strategy).to_precision(precision);
+                ss.set_class("walk", &gaussian_samples(50, 4, 0.0, 2), &mut rng)
+                    .unwrap();
+                assert_eq!(ss.samples("walk").unwrap().len(), 10, "{strategy:?}");
+                assert_eq!(ss.precision(), precision);
+            }
         }
     }
 
@@ -326,11 +527,13 @@ mod tests {
     #[test]
     fn empty_class_rejected() {
         let mut rng = SeededRng::new(5);
-        let mut ss = SupportSet::new(10, SelectionStrategy::Random);
-        assert!(matches!(
-            ss.set_class("x", &[], &mut rng),
-            Err(CoreError::InsufficientData(_))
-        ));
+        for precision in BOTH {
+            let mut ss = SupportSet::new(10, SelectionStrategy::Random).to_precision(precision);
+            assert!(matches!(
+                ss.set_class("x", &[], &mut rng),
+                Err(CoreError::InsufficientData(_))
+            ));
+        }
     }
 
     #[test]
@@ -344,9 +547,8 @@ mod tests {
         let mut rng = SeededRng::new(7);
         let mut herd = SupportSet::new(10, SelectionStrategy::Herding);
         herd.set_class("c", &samples, &mut rng).unwrap();
-        let herd_refs: Vec<&[f32]> = herd.samples("c").unwrap().iter().map(Vec::as_slice).collect();
-        let herd_mean = vector::mean_vector(&herd_refs).unwrap();
-        let herd_err = vector::euclidean(&herd_mean, &target);
+        let herd_mean = &herd.class_means()["c"];
+        let herd_err = vector::euclidean(herd_mean, &target);
 
         // Average random error over a few draws.
         let mut total_rand_err = 0.0;
@@ -354,8 +556,7 @@ mod tests {
             let mut rng2 = SeededRng::new(100 + s);
             let mut rand = SupportSet::new(10, SelectionStrategy::Random);
             rand.set_class("c", &samples, &mut rng2).unwrap();
-            let r: Vec<&[f32]> = rand.samples("c").unwrap().iter().map(Vec::as_slice).collect();
-            total_rand_err += vector::euclidean(&vector::mean_vector(&r).unwrap(), &target);
+            total_rand_err += vector::euclidean(&rand.class_means()["c"], &target);
         }
         let rand_err = total_rand_err / 5.0;
         assert!(
@@ -366,17 +567,19 @@ mod tests {
 
     #[test]
     fn reservoir_streaming_respects_budget_and_distribution() {
-        let mut rng = SeededRng::new(8);
-        let mut ss = SupportSet::new(20, SelectionStrategy::Reservoir);
-        for i in 0..1000 {
-            ss.push_sample("s", vec![i as f32], &mut rng);
+        for precision in BOTH {
+            let mut rng = SeededRng::new(8);
+            let mut ss = SupportSet::new(20, SelectionStrategy::Reservoir).to_precision(precision);
+            for i in 0..1000 {
+                ss.push_sample("s", vec![i as f32], &mut rng);
+            }
+            let stored = ss.samples("s").unwrap();
+            assert_eq!(stored.len(), 20);
+            // A reservoir over 0..1000 should contain late elements too.
+            let max = stored.iter().map(|v| v[0]).fold(0.0f32, f32::max);
+            assert!(max > 500.0, "reservoir biased to early items: max {max}");
+            assert_eq!(ss.total_samples(), 20);
         }
-        let stored = ss.samples("s").unwrap();
-        assert_eq!(stored.len(), 20);
-        // A reservoir over 0..1000 should contain late elements too.
-        let max = stored.iter().map(|v| v[0]).fold(0.0f32, f32::max);
-        assert!(max > 500.0, "reservoir biased to early items: max {max}");
-        assert_eq!(ss.total_samples(), 20);
     }
 
     #[test]
@@ -446,5 +649,127 @@ mod tests {
         let json = serde_json::to_string(&ss).unwrap();
         let back: SupportSet = serde_json::from_str(&json).unwrap();
         assert_eq!(ss, back);
+
+        // An int8 set writes its f32 copy and decodes as that copy.
+        let int8 = ss.to_precision(Precision::Int8);
+        let json = serde_json::to_string(&int8).unwrap();
+        assert_eq!(json, serde_json::to_string(&int8.to_precision(Precision::F32)).unwrap());
+        let back: SupportSet = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.precision(), Precision::F32);
+        assert_eq!(back, int8.to_precision(Precision::F32));
+    }
+
+    #[test]
+    fn int8_rows_are_within_half_a_step() {
+        let mut rng = SeededRng::new(5);
+        let mut set = SupportSet::new(16, SelectionStrategy::Herding);
+        set.set_class("walk", &gaussian_samples(12, 8, 0.0, 6), &mut rng)
+            .unwrap();
+        set.set_class("run", &gaussian_samples(10, 8, 0.0, 7), &mut rng)
+            .unwrap();
+        let q = set.to_precision(Precision::Int8);
+        assert_eq!(q.precision(), Precision::Int8);
+        assert_eq!(q.num_classes(), 2);
+        assert_eq!(q.total_samples(), set.total_samples());
+        assert_eq!(q.budget(), 16);
+        assert_eq!(q.strategy(), SelectionStrategy::Herding);
+        for label in ["walk", "run"] {
+            assert_within_half_step(&set.samples(label).unwrap(), &q.samples(label).unwrap());
+        }
+        // Back to f32: the dequantised rows, nothing else lost.
+        let back = q.to_precision(Precision::F32);
+        assert_eq!(back.precision(), Precision::F32);
+        assert_eq!(back.samples("run"), q.samples("run"));
+        assert_eq!(back.total_samples(), set.total_samples());
+    }
+
+    #[test]
+    fn int8_bytes_are_under_three_tenths_of_f32() {
+        let mut rng = SeededRng::new(8);
+        let mut set = SupportSet::new(32, SelectionStrategy::Random);
+        for label in ["a", "b", "c"] {
+            set.set_class(label, &gaussian_samples(32, 80, 0.0, 9), &mut rng)
+                .unwrap();
+        }
+        let q = set.to_precision(Precision::Int8);
+        // 1 byte per value plus a 4-byte scale per row.
+        assert_eq!(q.bytes(), 3 * 32 * (80 + 4));
+        let ratio = q.bytes() as f64 / set.bytes() as f64;
+        assert!(ratio < 0.30, "quantised support ratio {ratio:.3}");
+    }
+
+    #[test]
+    fn int8_zero_rows_quantize_without_dividing_by_zero() {
+        let mut rng = SeededRng::new(15);
+        let mut set = SupportSet::new(4, SelectionStrategy::Random).to_precision(Precision::Int8);
+        set.set_class("still", &vec![vec![0.0f32; 6]; 3], &mut rng)
+            .unwrap();
+        for row in set.samples("still").unwrap() {
+            assert!(row.iter().all(|&v| v == 0.0));
+        }
+    }
+
+    #[test]
+    fn int8_class_features_training_data_and_remove() {
+        let mut rng = SeededRng::new(10);
+        let mut q = SupportSet::new(8, SelectionStrategy::Herding).to_precision(Precision::Int8);
+        q.set_class("walk", &gaussian_samples(20, 6, 0.0, 11), &mut rng)
+            .unwrap();
+        q.set_class("run", &gaussian_samples(4, 6, 0.0, 12), &mut rng)
+            .unwrap();
+        assert_eq!(q.samples("run").unwrap().len(), 4);
+
+        let registry = LabelRegistry::from_labels(["run", "walk"]);
+        let (features, labels) = q.training_data(&registry).unwrap();
+        assert_eq!(features.shape(), (12, 6));
+        assert_eq!(labels, [vec![0; 4], vec![1; 8]].concat());
+        let walk = q.samples("walk").unwrap();
+        assert_eq!(features.row(4), walk[0].as_slice());
+
+        let mut staged = Matrix::default();
+        q.class_features_into("walk", &mut staged).unwrap();
+        assert_eq!(staged.shape(), (8, 6));
+        assert_eq!(staged.row(7), walk[7].as_slice());
+        assert!(matches!(
+            q.class_features_into("missing", &mut staged),
+            Err(CoreError::UnknownClass(_))
+        ));
+
+        assert!(q.remove_class("run"));
+        assert!(!q.remove_class("run"));
+        assert!(q.samples("run").is_none());
+    }
+
+    /// `set_class` at int8 keeps the rows it keeps at f32, given the same
+    /// rng: selection runs on the f32 candidates, then quantises.
+    fn assert_int8_selects_like_f32(strategy: SelectionStrategy) {
+        let candidates = gaussian_samples(40, 8, 0.3, 20);
+        let mut f32_set = SupportSet::new(6, strategy);
+        let mut int8_set = f32_set.to_precision(Precision::Int8);
+        f32_set
+            .set_class("walk", &candidates, &mut SeededRng::new(21))
+            .unwrap();
+        int8_set
+            .set_class("walk", &candidates, &mut SeededRng::new(21))
+            .unwrap();
+        assert_within_half_step(
+            &f32_set.samples("walk").unwrap(),
+            &int8_set.samples("walk").unwrap(),
+        );
+    }
+
+    #[test]
+    fn int8_random_selection_matches_f32() {
+        assert_int8_selects_like_f32(SelectionStrategy::Random);
+    }
+
+    #[test]
+    fn int8_herding_selection_matches_f32() {
+        assert_int8_selects_like_f32(SelectionStrategy::Herding);
+    }
+
+    #[test]
+    fn int8_reservoir_selection_matches_f32() {
+        assert_int8_selects_like_f32(SelectionStrategy::Reservoir);
     }
 }

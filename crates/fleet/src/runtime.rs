@@ -215,7 +215,7 @@ impl Fleet {
     /// already registered under the same `(key, precision)` is kept and
     /// its key returned. Delta sessions deployed from it
     /// ([`Self::register_from_base`]) share one refcounted copy of the
-    /// backbone, support set, and base classifier.
+    /// backbone and base classifier.
     ///
     /// # Errors
     /// [`StoreError::Storage`] when the bundle fails validation or

@@ -3,13 +3,14 @@
 //! A million registered users do not need a million resident models.
 //! What differs per user is a compact [`PersonalDelta`] (calibrated
 //! prototypes, private support rows, last-layer adjustments); everything
-//! else — pipeline, backbone weights, base support set, base NCM — is
-//! identical across every session deployed from the same bundle at the
-//! same precision. The store therefore splits session state into two
-//! tiers:
+//! else — pipeline, backbone weights, base NCM — is identical across
+//! every session deployed from the same bundle at the same precision.
+//! The store therefore splits session state into two tiers:
 //!
 //! * **[`SharedBase`]** — one refcounted (`Arc`) immutable copy per
-//!   `(ModelKey, Precision)`, registered once via
+//!   `(ModelKey, Precision)`, deployed like a device's state (the
+//!   bundle's support set builds the base prototypes and is then
+//!   dropped: nothing serves from it), registered once via
 //!   [`crate::Fleet::register_base`] and shared by every delta session
 //!   deployed from it. Because a delta only overlays the *classifier*
 //!   (prototypes), never the backbone, delta sessions keep the shared
@@ -37,8 +38,7 @@ use magneto_core::incremental::ModelState;
 use magneto_core::storage::{load_framed_versioned, save_framed_versioned};
 use magneto_core::{
     BatchEmbedder, CoreError, EdgeBundle, EdgeDevice, InferenceView, LabelRegistry, ModelVersion,
-    NcmClassifier, PersonalDelta, Precision, QuantizedSupportSet, Recalibrator, ResidentSupport,
-    RollbackReason, SelfHealingConfig,
+    NcmClassifier, PersonalDelta, Precision, Recalibrator, RollbackReason, SelfHealingConfig,
 };
 use magneto_dsp::PreprocessingPipeline;
 use magneto_tensor::vector::DistanceMetric;
@@ -131,14 +131,15 @@ impl ReplayOutcome {
 }
 
 /// One immutable, refcounted base model: everything identical across all
-/// sessions deployed from one bundle at one precision. Assembled exactly
-/// like [`EdgeDevice::deploy`] assembles its resident state, so a delta
-/// session with an empty delta serves bit-identically to a device-backed
-/// session from the same bundle.
+/// sessions deployed from one bundle at one precision. Its state comes
+/// from the same [`ModelState::deploy`] as [`EdgeDevice::deploy`]'s, so a
+/// delta session with an empty delta serves bit-identically to a
+/// device-backed session from the same bundle. The base support set is
+/// dropped once the prototypes are built: serving reads only the NCM,
+/// and each user's own support rows live in their delta.
 pub struct SharedBase {
     pub(crate) pipeline: PreprocessingPipeline,
     pub(crate) model: magneto_core::ResidentModel,
-    pub(crate) support: ResidentSupport,
     pub(crate) registry: LabelRegistry,
     pub(crate) ncm: NcmClassifier,
     /// The bundle's model version (v0 for legacy bundles). Deltas
@@ -148,8 +149,8 @@ pub struct SharedBase {
 }
 
 impl SharedBase {
-    /// Assemble a shared base from a bundle at `precision`, mirroring
-    /// the [`EdgeDevice::deploy`] conversion path.
+    /// Assemble a shared base from a bundle at `precision` through
+    /// [`ModelState::deploy`], the conversion [`EdgeDevice::deploy`] runs.
     ///
     /// # Errors
     /// Propagates bundle validation / precision conversion / assembly
@@ -160,16 +161,16 @@ impl SharedBase {
         metric: DistanceMetric,
     ) -> magneto_core::Result<Self> {
         bundle.validate()?;
-        let model = bundle.model.clone().into_precision(precision)?;
-        let support: ResidentSupport = match precision {
-            Precision::F32 => bundle.support_set.clone().into(),
-            Precision::Int8 => QuantizedSupportSet::quantize(&bundle.support_set).into(),
-        };
-        let state = ModelState::assemble(model, support, bundle.registry.clone(), metric)?;
+        let state = ModelState::deploy(
+            bundle.model.clone(),
+            &bundle.support_set,
+            bundle.registry.clone(),
+            precision,
+            metric,
+        )?;
         Ok(SharedBase {
             pipeline: bundle.pipeline.clone(),
             model: state.model,
-            support: state.support_set,
             registry: state.registry,
             ncm: state.ncm,
             version: bundle.version(),
@@ -181,11 +182,11 @@ impl SharedBase {
         self.version
     }
 
-    /// Resident bytes of this base (model parameters + support set +
-    /// prototypes) — paid **once** per `(key, precision)`, however many
-    /// sessions share it.
+    /// Resident bytes of this base (model parameters + prototypes) —
+    /// paid **once** per `(key, precision)`, however many sessions share
+    /// it.
     pub fn bytes(&self) -> usize {
-        self.model.resident_bytes() + self.support.bytes() + self.ncm.resident_bytes()
+        self.model.resident_bytes() + self.ncm.resident_bytes()
     }
 
     /// Class labels the base recognises.

@@ -46,7 +46,7 @@ pub use activation::Activation;
 pub use error::NnError;
 pub use network::Mlp;
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quantize::{QuantizedMlp, QuantizedSiamese};
+pub use quantize::QuantizedMlp;
 pub use siamese::SiameseNetwork;
 pub use trainer::{TrainerConfig, TrainingReport};
 

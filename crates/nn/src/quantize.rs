@@ -16,7 +16,6 @@ use crate::activation::Activation;
 use crate::error::NnError;
 use crate::layer::Dense;
 use crate::network::Mlp;
-use crate::siamese::SiameseNetwork;
 use crate::Result;
 use magneto_tensor::quant::{QuantMatrix, QuantScratch};
 use magneto_tensor::{Exec, Matrix, Workspace};
@@ -36,16 +35,6 @@ pub struct QuantizedDense {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedMlp {
     layers: Vec<QuantizedDense>,
-}
-
-/// A quantised Siamese network: the int8 backbone plus the contrastive
-/// margin, mirroring [`SiameseNetwork`] so either can serve the same
-/// embedding space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedSiamese {
-    backbone: QuantizedMlp,
-    /// Contrastive margin carried through the quantised round trip.
-    pub margin: f32,
 }
 
 impl QuantizedDense {
@@ -343,73 +332,6 @@ impl QuantizedMlp {
     }
 }
 
-impl QuantizedSiamese {
-    /// Quantise a Siamese network, keeping the margin.
-    ///
-    /// # Errors
-    /// [`NnError::Tensor`] only on a degenerate layer.
-    pub fn quantize(net: &SiameseNetwork) -> Result<Self> {
-        Ok(QuantizedSiamese {
-            backbone: QuantizedMlp::quantize(net.backbone())?,
-            margin: net.margin,
-        })
-    }
-
-    /// Assemble from a decoded backbone plus margin (bundle decode).
-    pub fn from_parts(backbone: QuantizedMlp, margin: f32) -> Self {
-        QuantizedSiamese { backbone, margin }
-    }
-
-    /// Reconstruct the f32 network (lossy round trip through int8).
-    ///
-    /// # Errors
-    /// [`NnError::Decode`] only on internal inconsistency.
-    pub fn dequantize(&self) -> Result<SiameseNetwork> {
-        Ok(SiameseNetwork::new(self.backbone.dequantize()?, self.margin))
-    }
-
-    /// The int8 backbone.
-    pub fn backbone(&self) -> &QuantizedMlp {
-        &self.backbone
-    }
-
-    /// Embed a batch of feature rows through the int8 path.
-    ///
-    /// # Errors
-    /// Shape mismatch on malformed input.
-    pub fn embed(&self, features: &Matrix) -> Result<Matrix> {
-        self.backbone.forward(features)
-    }
-
-    /// Embed a batch into a caller-owned output, drawing scratch from
-    /// `ws` — the int8 twin of [`SiameseNetwork::embed_into`].
-    ///
-    /// # Errors
-    /// Shape mismatch on malformed input.
-    pub fn embed_into(&self, features: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
-        self.backbone.forward_into(features, out, ws)
-    }
-
-    /// Embed one feature vector.
-    ///
-    /// # Errors
-    /// Shape mismatch on malformed input.
-    pub fn embed_one(&self, features: &[f32]) -> Result<Vec<f32>> {
-        self.backbone.embed_one(features)
-    }
-
-    /// Bytes needed to keep the quantised parameters resident.
-    pub fn stored_bytes(&self) -> usize {
-        self.backbone.stored_bytes()
-    }
-
-    /// `true` when every float parameter (scales, biases, margin) is
-    /// finite.
-    pub fn all_finite(&self) -> bool {
-        self.margin.is_finite() && self.backbone.all_finite()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,24 +490,5 @@ mod tests {
                 "prefix of {len} bytes decoded"
             );
         }
-    }
-
-    #[test]
-    fn quantized_siamese_roundtrip_and_embed() {
-        let mut rng = SeededRng::new(15);
-        let net = SiameseNetwork::new(Mlp::new(&[8, 16, 4], &mut rng).unwrap(), 1.25);
-        let q = QuantizedSiamese::quantize(&net).unwrap();
-        assert_eq!(q.margin, 1.25);
-        let back = q.dequantize().unwrap();
-        assert_eq!(back.margin, 1.25);
-        assert_eq!(back.backbone().dims(), net.backbone().dims());
-        let x = Matrix::filled(3, 8, 0.4);
-        let e = q.embed(&x).unwrap();
-        assert_eq!(e.shape(), (3, 4));
-        assert_eq!(q.embed_one(&[0.4; 8]).unwrap().len(), 4);
-        let mut out = Matrix::default();
-        let mut ws = Workspace::new();
-        q.embed_into(&x, &mut out, &mut ws).unwrap();
-        assert_eq!(out, e);
     }
 }
