@@ -138,7 +138,7 @@ impl EdgeDevice {
         ledger.record_download(bundle.total_bytes(), "edge bundle (pipeline+model+support)");
         let state = ModelState::deploy(
             bundle.model,
-            &bundle.support_set,
+            bundle.support_set,
             bundle.registry,
             config.precision,
             config.incremental.metric,
@@ -599,7 +599,7 @@ impl EdgeDevice {
         EdgeBundle {
             pipeline: self.pipeline.clone(),
             model: self.state.model.clone(),
-            support_set: self.state.support_set.to_precision(Precision::F32),
+            support_set: self.state.support_set.clone().into_precision(Precision::F32),
             registry: self.state.registry.clone(),
             lineage: self.lineage,
         }

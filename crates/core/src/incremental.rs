@@ -322,14 +322,14 @@ impl ModelState {
     /// construction failures.
     pub fn deploy(
         model: ResidentModel,
-        support_set: &SupportSet,
+        support_set: SupportSet,
         registry: LabelRegistry,
         precision: Precision,
         metric: DistanceMetric,
     ) -> Result<Self> {
         ModelState::assemble(
             model.into_precision(precision)?,
-            support_set.to_precision(precision),
+            support_set.into_precision(precision),
             registry,
             metric,
         )
@@ -812,7 +812,7 @@ mod tests {
         let base = base_state(seed);
         ModelState::deploy(
             base.model,
-            &base.support_set,
+            base.support_set,
             base.registry,
             Precision::Int8,
             DistanceMetric::Euclidean,

@@ -9,7 +9,7 @@
 //! construction, streaming inference, the fleet scheduler) works against
 //! it instead of a concrete network type. The support set needs no
 //! wrapper: a [`crate::SupportSet`] stores its rows at either precision
-//! itself ([`crate::SupportSet::to_precision`]).
+//! itself ([`crate::SupportSet::into_precision`]).
 //!
 //! Design rules:
 //!
@@ -60,7 +60,7 @@ impl ResidentModel {
     ///
     /// # Errors
     /// [`CoreError::Nn`] only on a degenerate layer.
-    pub fn quantize(net: &SiameseNetwork) -> Result<Self> {
+    pub(crate) fn quantize(net: &SiameseNetwork) -> Result<Self> {
         Ok(ResidentModel::Int8 {
             backbone: QuantizedMlp::quantize(net.backbone()).map_err(CoreError::Nn)?,
             margin: net.margin,

@@ -178,11 +178,12 @@ impl Deserialize for ClassRows {
     }
 }
 
-/// Field for field the derived form, written from the f32 view of the set.
+/// The bundle's support section, which `ModelKey` hashes: these four
+/// fields in this order, at f32. An int8 set writes its f32 copy.
 impl Serialize for SupportSet {
     fn to_value(&self) -> Value {
         if self.precision == Precision::Int8 {
-            return self.to_precision(Precision::F32).to_value();
+            return self.clone().into_precision(Precision::F32).to_value();
         }
         Value::Map(vec![
             ("budget_per_class".into(), self.budget_per_class.to_value()),
@@ -211,20 +212,20 @@ impl SupportSet {
         self.precision
     }
 
-    /// A copy storing its rows at `precision`: f32 → int8 quantises each
-    /// row, int8 → f32 dequantises, same precision is a plain copy.
+    /// Store the rows at `precision`: f32 → int8 quantises each row,
+    /// int8 → f32 dequantises, same precision moves them untouched.
     ///
     /// The f32 copy of an int8 set records the rows it keeps as `seen`,
     /// as an int8 device's bundle snapshot always has: its exemplars are
     /// all that crossed the quantisation.
-    pub fn to_precision(&self, precision: Precision) -> SupportSet {
+    pub fn into_precision(self, precision: Precision) -> SupportSet {
         let seen = if self.precision == Precision::Int8 && precision == Precision::F32 {
             self.classes
                 .iter()
                 .map(|(label, rows)| (label.clone(), rows.len() as u64))
                 .collect()
         } else {
-            self.seen.clone()
+            self.seen
         };
         SupportSet {
             budget_per_class: self.budget_per_class,
@@ -232,8 +233,8 @@ impl SupportSet {
             precision,
             classes: self
                 .classes
-                .iter()
-                .map(|(label, rows)| (label.clone(), rows.clone().into_precision(precision)))
+                .into_iter()
+                .map(|(label, rows)| (label, rows.into_precision(precision)))
                 .collect(),
             seen,
         }
@@ -506,7 +507,7 @@ mod tests {
         let mut rng = SeededRng::new(1);
         for precision in BOTH {
             for strategy in STRATEGIES {
-                let mut ss = SupportSet::new(10, strategy).to_precision(precision);
+                let mut ss = SupportSet::new(10, strategy).into_precision(precision);
                 ss.set_class("walk", &gaussian_samples(50, 4, 0.0, 2), &mut rng)
                     .unwrap();
                 assert_eq!(ss.samples("walk").unwrap().len(), 10, "{strategy:?}");
@@ -528,7 +529,7 @@ mod tests {
     fn empty_class_rejected() {
         let mut rng = SeededRng::new(5);
         for precision in BOTH {
-            let mut ss = SupportSet::new(10, SelectionStrategy::Random).to_precision(precision);
+            let mut ss = SupportSet::new(10, SelectionStrategy::Random).into_precision(precision);
             assert!(matches!(
                 ss.set_class("x", &[], &mut rng),
                 Err(CoreError::InsufficientData(_))
@@ -569,7 +570,7 @@ mod tests {
     fn reservoir_streaming_respects_budget_and_distribution() {
         for precision in BOTH {
             let mut rng = SeededRng::new(8);
-            let mut ss = SupportSet::new(20, SelectionStrategy::Reservoir).to_precision(precision);
+            let mut ss = SupportSet::new(20, SelectionStrategy::Reservoir).into_precision(precision);
             for i in 0..1000 {
                 ss.push_sample("s", vec![i as f32], &mut rng);
             }
@@ -651,12 +652,12 @@ mod tests {
         assert_eq!(ss, back);
 
         // An int8 set writes its f32 copy and decodes as that copy.
-        let int8 = ss.to_precision(Precision::Int8);
+        let int8 = ss.clone().into_precision(Precision::Int8);
         let json = serde_json::to_string(&int8).unwrap();
-        assert_eq!(json, serde_json::to_string(&int8.to_precision(Precision::F32)).unwrap());
+        assert_eq!(json, serde_json::to_string(&int8.clone().into_precision(Precision::F32)).unwrap());
         let back: SupportSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back.precision(), Precision::F32);
-        assert_eq!(back, int8.to_precision(Precision::F32));
+        assert_eq!(back, int8.clone().into_precision(Precision::F32));
     }
 
     #[test]
@@ -667,7 +668,7 @@ mod tests {
             .unwrap();
         set.set_class("run", &gaussian_samples(10, 8, 0.0, 7), &mut rng)
             .unwrap();
-        let q = set.to_precision(Precision::Int8);
+        let q = set.clone().into_precision(Precision::Int8);
         assert_eq!(q.precision(), Precision::Int8);
         assert_eq!(q.num_classes(), 2);
         assert_eq!(q.total_samples(), set.total_samples());
@@ -677,7 +678,7 @@ mod tests {
             assert_within_half_step(&set.samples(label).unwrap(), &q.samples(label).unwrap());
         }
         // Back to f32: the dequantised rows, nothing else lost.
-        let back = q.to_precision(Precision::F32);
+        let back = q.clone().into_precision(Precision::F32);
         assert_eq!(back.precision(), Precision::F32);
         assert_eq!(back.samples("run"), q.samples("run"));
         assert_eq!(back.total_samples(), set.total_samples());
@@ -691,7 +692,7 @@ mod tests {
             set.set_class(label, &gaussian_samples(32, 80, 0.0, 9), &mut rng)
                 .unwrap();
         }
-        let q = set.to_precision(Precision::Int8);
+        let q = set.clone().into_precision(Precision::Int8);
         // 1 byte per value plus a 4-byte scale per row.
         assert_eq!(q.bytes(), 3 * 32 * (80 + 4));
         let ratio = q.bytes() as f64 / set.bytes() as f64;
@@ -701,7 +702,7 @@ mod tests {
     #[test]
     fn int8_zero_rows_quantize_without_dividing_by_zero() {
         let mut rng = SeededRng::new(15);
-        let mut set = SupportSet::new(4, SelectionStrategy::Random).to_precision(Precision::Int8);
+        let mut set = SupportSet::new(4, SelectionStrategy::Random).into_precision(Precision::Int8);
         set.set_class("still", &vec![vec![0.0f32; 6]; 3], &mut rng)
             .unwrap();
         for row in set.samples("still").unwrap() {
@@ -712,7 +713,7 @@ mod tests {
     #[test]
     fn int8_class_features_training_data_and_remove() {
         let mut rng = SeededRng::new(10);
-        let mut q = SupportSet::new(8, SelectionStrategy::Herding).to_precision(Precision::Int8);
+        let mut q = SupportSet::new(8, SelectionStrategy::Herding).into_precision(Precision::Int8);
         q.set_class("walk", &gaussian_samples(20, 6, 0.0, 11), &mut rng)
             .unwrap();
         q.set_class("run", &gaussian_samples(4, 6, 0.0, 12), &mut rng)
@@ -745,7 +746,7 @@ mod tests {
     fn assert_int8_selects_like_f32(strategy: SelectionStrategy) {
         let candidates = gaussian_samples(40, 8, 0.3, 20);
         let mut f32_set = SupportSet::new(6, strategy);
-        let mut int8_set = f32_set.to_precision(Precision::Int8);
+        let mut int8_set = f32_set.clone().into_precision(Precision::Int8);
         f32_set
             .set_class("walk", &candidates, &mut SeededRng::new(21))
             .unwrap();

@@ -163,7 +163,7 @@ impl SharedBase {
         bundle.validate()?;
         let state = ModelState::deploy(
             bundle.model.clone(),
-            &bundle.support_set,
+            bundle.support_set.clone(),
             bundle.registry.clone(),
             precision,
             metric,
