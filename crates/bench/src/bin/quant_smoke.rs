@@ -147,7 +147,10 @@ fn batch_one(plan: KernelPlan) -> BatchOneReport {
         Mlp::new(&PAPER_BACKBONE, &mut rng).expect("backbone"),
         1.0,
     ));
-    let qnet = net.clone().into_precision(Precision::Int8).expect("quantize");
+    let qnet = net
+        .clone()
+        .into_precision(Precision::Int8)
+        .expect("quantize");
     let rows: Vec<Vec<f32>> = (0..B1_BATCHED_ROWS)
         .map(|_| (0..PAPER_BACKBONE[0]).map(|_| rng.normal()).collect())
         .collect();

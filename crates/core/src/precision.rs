@@ -189,9 +189,7 @@ impl ResidentModel {
     pub fn all_finite(&self) -> bool {
         match self {
             ResidentModel::F32(n) => n.margin.is_finite() && n.backbone().all_finite(),
-            ResidentModel::Int8 { backbone, margin } => {
-                margin.is_finite() && backbone.all_finite()
-            }
+            ResidentModel::Int8 { backbone, margin } => margin.is_finite() && backbone.all_finite(),
         }
     }
 

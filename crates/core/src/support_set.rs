@@ -570,7 +570,8 @@ mod tests {
     fn reservoir_streaming_respects_budget_and_distribution() {
         for precision in BOTH {
             let mut rng = SeededRng::new(8);
-            let mut ss = SupportSet::new(20, SelectionStrategy::Reservoir).into_precision(precision);
+            let mut ss =
+                SupportSet::new(20, SelectionStrategy::Reservoir).into_precision(precision);
             for i in 0..1000 {
                 ss.push_sample("s", vec![i as f32], &mut rng);
             }
@@ -654,7 +655,10 @@ mod tests {
         // An int8 set writes its f32 copy and decodes as that copy.
         let int8 = ss.clone().into_precision(Precision::Int8);
         let json = serde_json::to_string(&int8).unwrap();
-        assert_eq!(json, serde_json::to_string(&int8.clone().into_precision(Precision::F32)).unwrap());
+        assert_eq!(
+            json,
+            serde_json::to_string(&int8.clone().into_precision(Precision::F32)).unwrap()
+        );
         let back: SupportSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back.precision(), Precision::F32);
         assert_eq!(back, int8.clone().into_precision(Precision::F32));
